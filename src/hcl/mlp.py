@@ -155,12 +155,20 @@ def backward(params: MlpParams, cache: ForwardCache, dscores) -> MlpParams:
     return MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2)
 
 
+# Elements per in-place Adam pass: two scratch arrays of this size serve every
+# parameter, and a chunk's six operands stay in cache across its 14 passes.
+_ADAM_CHUNK = 1 << 14
+
+
 class _Optimizer:
     def __init__(self, cfg: TrainConfig, params: MlpParams):
         self.cfg = cfg
         if cfg.optimizer == "adam":
             self.m = [np.zeros_like(a) for a in params.arrays()]
             self.v = [np.zeros_like(a) for a in params.arrays()]
+            # a chunk holds at least one leading-axis row
+            size = max([_ADAM_CHUNK] + [a.size // len(a) for a in params.arrays()])
+            self.scratch = (np.empty(size), np.empty(size))
             self.t = 0
 
     def step(self, params: MlpParams, grads: MlpParams):
@@ -171,12 +179,31 @@ class _Optimizer:
             return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for i, (p, g) in enumerate(zip(params.arrays(), grads.arrays())):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1 ** self.t)
-            vhat = self.v[i] / (1 - b2 ** self.t)
-            p -= lr * mhat / (np.sqrt(vhat) + eps)
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for arrays in zip(params.arrays(), grads.arrays(), self.m, self.v):
+            # chunks of whole leading-axis rows are views in any memory layout
+            rows = max(1, _ADAM_CHUNK // (arrays[0].size // len(arrays[0])))
+            for start in range(0, len(arrays[0]), rows):
+                p, g, m, v = (a[start:start + rows] for a in arrays)
+                s1, s2 = (s[:p.size].reshape(p.shape) for s in self.scratch)
+                # In place, in the operation order of
+                #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+                #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
+                # so every step is bitwise equal to evaluating those expressions.
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1 - b1, out=s1)
+                np.add(m, s1, out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1 - b2, out=s1)
+                np.multiply(s1, g, out=s1)
+                np.add(v, s1, out=v)
+                np.divide(m, c1, out=s1)
+                np.multiply(s1, lr, out=s1)
+                np.divide(v, c2, out=s2)
+                np.sqrt(s2, out=s2)
+                np.add(s2, eps, out=s2)
+                np.divide(s1, s2, out=s1)
+                np.subtract(p, s1, out=p)
 
 
 @dataclass

@@ -74,6 +74,14 @@ class Taxonomy:
             buckets[self.level[c]].append(c)
         return tuple(np.asarray(b, dtype=np.int64) for b in buckets)
 
+    @cached_property
+    def parent_ids(self) -> np.ndarray:
+        """Parent id of every class as an array; ``VIRTUAL_ROOT`` for top-level
+        classes. Lets callers gather parent columns in one indexing step."""
+        return np.asarray(
+            [VIRTUAL_ROOT if p is None else p for p in self.parent], dtype=np.int64
+        )
+
     @property
     def top_level_ids(self) -> np.ndarray:
         return self.levels_index[1]

@@ -10,7 +10,8 @@ tolerance), returning a counterexample payload on the first violation:
 * the objective sandwich between total 0-1 loss and total transformed loss,
 * equality of prefix selection with the exhaustive 2^C oracle, plus the
   disagreement rate of the fixed-threshold rule,
-* finite-difference agreement of the loss and pipeline gradients.
+* finite-difference agreement of the loss and pipeline gradients, the
+  pipeline under both transform scopes.
 
 The checks take the transform/selection callables as parameters so a
 deliberately broken implementation can be fed in to prove the harness
@@ -311,7 +312,8 @@ def _tie_free_scores(rng, y, shape, margin=1e-3, attempts=50):
 
 
 def check_gradients(trials: int, seed: int) -> CheckResult:
-    """bce, focal(2) and frozen-selection pipeline gradients vs central FD."""
+    """bce, focal(2) and frozen-selection pipeline gradients (both transform
+    scopes) vs central FD."""
     rng = np.random.default_rng(seed)
     res = CheckResult("gradient-fd", trials)
     for _ in range(trials):
@@ -325,13 +327,16 @@ def check_gradients(trials: int, seed: int) -> CheckResult:
             "focal": (lambda s: losses.focal_loss(y, s, 2.0).sum(),
                       losses.focal_grad(y, scores, 2.0)),
         }
-        _, s_vec, weights = curriculum.hcl_loss(y, scores, tax)
+        # the pipeline under each scope, on this trial's taxonomy and scores
+        for key, scope in (("hcl-pipeline", losses.SCOPE_ALL_SHALLOWER),
+                           ("hcl-pipeline-ancestors-only", losses.SCOPE_ANCESTORS_ONLY)):
+            _, s_vec, weights = curriculum.hcl_loss(y, scores, tax, scope=scope)
 
-        def pipeline(sc):
-            lh, _ = losses.hier_transform(losses.bce_loss(y, sc), tax)
-            return float((s_vec[None, :] * lh).sum())
+            def pipeline(sc, s_vec=s_vec, scope=scope):
+                lh, _ = losses.hier_transform(losses.bce_loss(y, sc), tax, scope)
+                return float((s_vec[None, :] * lh).sum())
 
-        checks["hcl-pipeline"] = (pipeline, weights * losses.bce_grad(y, scores))
+            checks[key] = (pipeline, weights * losses.bce_grad(y, scores))
 
         for name, (f, analytic) in checks.items():
             err = max_rel_err(analytic, _fd_grad(f, scores))

@@ -79,7 +79,7 @@ def test_analytic_gradients_match_finite_differences(acceptance_log):
     ok = r.ok and worst < 1e-4
     assert _record(
         acceptance_log, ok, "gradient checks",
-        f"bce/focal/hcl-pipeline on 20 tie-free instances, "
+        f"bce/focal/hcl-pipeline (both scopes) on 20 tie-free instances, "
         f"worst relative error {worst:.2e} (< 1e-4)",
     )
 

@@ -343,3 +343,17 @@ def test_label_matrix_rejects_other_values(two_level_chain):
     y = np.array([[1.0, 0.5]])
     with pytest.raises(ValueError):
         check_label_matrix(y, two_level_chain)
+
+
+def test_label_matrix_names_the_first_orphaned_class_in_id_order():
+    t = parse_hierarchy(["a", "a/x", "b", "b/y"])
+    y = -np.ones((2, 4))
+    y[0, [t.id_of("b/y")]] = 1.0  # first row breaks closure at the later id
+    y[1, [t.id_of("a/x")]] = 1.0
+    with pytest.raises(ValueError, match=r"class 'a/x' positive without its parent"):
+        check_label_matrix(y, t)
+    y[1, t.id_of("a")] = 1.0
+    with pytest.raises(ValueError, match=r"class 'b/y' positive without its parent"):
+        check_label_matrix(y, t)
+    y[0, t.id_of("b")] = 1.0
+    assert check_label_matrix(y, t) is y

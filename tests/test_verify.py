@@ -100,7 +100,7 @@ def test_selection_check_catches_a_greedy_rule():
 def test_gradient_check_passes_quickly():
     r = check_gradients(trials=5, seed=0)
     assert r.ok
-    assert set(r.info) == {"bce", "focal", "hcl-pipeline"}
+    assert set(r.info) == {"bce", "focal", "hcl-pipeline", "hcl-pipeline-ancestors-only"}
     assert max(r.info.values()) < verify.GRAD_RTOL
 
 
