@@ -8,12 +8,16 @@ hierarchy-aware evaluation metrics.
 """
 
 from .curriculum import (
+    LOSS_MODES,
+    LOSS_PRESETS,
     ClassLossAggregate,
+    LossSpec,
     RULE_OPTIMAL_PREFIX,
     RULE_FIXED_THRESHOLD,
     aggregate_class_losses,
     brute_force_select,
     curriculum_objective,
+    hcl_grad,
     hcl_loss,
     select_classes,
 )
@@ -40,7 +44,6 @@ from .losses import (
 )
 from .metrics import EvalReport, evaluate, hier_dist, hit_at_1, mrr
 from .mlp import (
-    LOSS_MODES,
     MlpParams,
     TrainConfig,
     TrainingDiverged,
@@ -56,6 +59,8 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "LOSS_MODES",
+    "LOSS_PRESETS",
+    "LossSpec",
     "MlpParams",
     "NormParams",
     "RULE_OPTIMAL_PREFIX",
@@ -74,6 +79,7 @@ __all__ = [
     "emit_native",
     "evaluate",
     "focal_loss",
+    "hcl_grad",
     "hcl_loss",
     "hier_dist",
     "hier_transform",

@@ -21,11 +21,44 @@ import time
 
 import numpy as np
 
-from . import curriculum, data, losses, metrics, mlp, verify
+from . import curriculum, data, metrics, mlp, verify
 from .taxonomy import Taxonomy
 
 RUN_ROOT_ENV = "HCL_RUN_DIR"
 ABLATION_ARMS = ("ce", "hcl-hier", "hcl-cl", "hcl")
+
+# config key -> SynthConfig field, for the synthetic generator
+SYNTH_KEYS = {
+    "levels": "levels",
+    "branching": "branching",
+    "examples_per_leaf": "examples_per_leaf",
+    "feature_dim": "feature_dim",
+    "separation": "cluster_separation",
+    "label_noise": "label_noise",
+    "data_seed": "seed",
+}
+# config key -> TrainConfig field (selection_thresh is converted separately)
+TRAIN_KEYS = {
+    "hidden_width": "hidden_width",
+    "dropout": "dropout_rate",
+    "lr": "learning_rate",
+    "epochs": "epochs",
+    "batch_size": "batch_size",
+    "seed": "seed",
+    "optimizer": "optimizer",
+    "loss": "loss_mode",
+    "scope": "transform_scope",
+    "decision_threshold": "decision_threshold",
+    "focal_gamma": "focal_gamma",
+    "selection_rule": "selection_rule",
+}
+
+
+def _field_specs(cls, keys: dict) -> dict:
+    """(type, default) per config key, from the dataclass field defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: (type(defaults[name]), defaults[name]) for key, name in keys.items()}
+
 
 # key -> (type, default); bools accept true/false, 1/0, yes/no
 CONFIG_SPEC: dict[str, tuple[type, object]] = {
@@ -36,25 +69,8 @@ CONFIG_SPEC: dict[str, tuple[type, object]] = {
     "split_seed": (int, 0),
     "normalize": (bool, True),
     "leaves_only": (bool, False),
-    "levels": (int, 3),
-    "branching": (int, 3),
-    "examples_per_leaf": (int, 150),
-    "feature_dim": (int, 16),
-    "separation": (float, 2.0),
-    "label_noise": (float, 0.0),
-    "data_seed": (int, 0),
-    "hidden_width": (int, 800),
-    "dropout": (float, 0.25),
-    "lr": (float, 1e-3),
-    "epochs": (int, 100),
-    "batch_size": (int, 64),
-    "seed": (int, 0),
-    "optimizer": (str, "adam"),
-    "loss": (str, "hcl"),
-    "scope": (str, losses.SCOPE_ALL_SHALLOWER),
-    "decision_threshold": (float, 0.5),
-    "focal_gamma": (float, 2.0),
-    "selection_rule": (str, curriculum.RULE_OPTIMAL_PREFIX),
+    **_field_specs(data.SynthConfig, SYNTH_KEYS),
+    **_field_specs(mlp.TrainConfig, TRAIN_KEYS),
     "selection_thresh": (str, ""),  # empty string means unset
 }
 
@@ -150,15 +166,9 @@ def build_dataset(cfg: dict) -> data.Dataset:
     """Source, split and (optionally) normalize the dataset a config names."""
     source = cfg["data"]
     if source == "synth":
-        d = data.synth_generate(data.SynthConfig(
-            levels=cfg["levels"],
-            branching=cfg["branching"],
-            examples_per_leaf=cfg["examples_per_leaf"],
-            feature_dim=cfg["feature_dim"],
-            cluster_separation=cfg["separation"],
-            label_noise=cfg["label_noise"],
-            seed=cfg["data_seed"],
-        ))
+        d = data.synth_generate(
+            data.SynthConfig(**{name: cfg[key] for key, name in SYNTH_KEYS.items()})
+        )
     elif source == "native":
         if not cfg["data_dir"]:
             raise UsageError("data = native requires data_dir")
@@ -178,18 +188,7 @@ def build_dataset(cfg: dict) -> data.Dataset:
 def train_config(cfg: dict) -> mlp.TrainConfig:
     thresh = cfg["selection_thresh"]
     return mlp.TrainConfig(
-        hidden_width=cfg["hidden_width"],
-        dropout_rate=cfg["dropout"],
-        learning_rate=cfg["lr"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        optimizer=cfg["optimizer"],
-        loss_mode=cfg["loss"],
-        transform_scope=cfg["scope"],
-        decision_threshold=cfg["decision_threshold"],
-        focal_gamma=cfg["focal_gamma"],
-        selection_rule=cfg["selection_rule"],
+        **{name: cfg[key] for key, name in TRAIN_KEYS.items()},
         selection_thresh=float(thresh) if str(thresh).strip() else None,
     )
 
@@ -350,6 +349,16 @@ def _format_ablation_md(dataset_name: str, rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ablation_reports(d: data.Dataset, tc: mlp.TrainConfig, leaves_only: bool = False):
+    """Train each arm of ABLATION_ARMS on ``d`` with ``tc`` (its loss mode
+    replaced) and yield ``(arm, test-split EvalReport)`` as each finishes."""
+    idx = d.indices("test")
+    for arm in ABLATION_ARMS:
+        params, _ = mlp.train(d, d.taxonomy, dataclasses.replace(tc, loss_mode=arm))
+        scores, _ = mlp.forward(params, d.features[idx])
+        yield arm, metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
+
+
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args.config, _collect_overrides(args))
     d = build_dataset(cfg)  # one dataset and split shared by every arm
@@ -358,13 +367,7 @@ def cmd_ablate(args) -> int:
 
     start = time.perf_counter()
     rows = []
-    for arm in ABLATION_ARMS:
-        tc = dataclasses.replace(train_config(cfg), loss_mode=arm)
-        params, _ = mlp.train(d, d.taxonomy, tc)
-        idx = d.indices("test")
-        scores, _ = mlp.forward(params, d.features[idx])
-        rep = metrics.evaluate(d.labels[idx], scores, d.taxonomy,
-                               leaves_only=cfg["leaves_only"])
+    for arm, rep in ablation_reports(d, train_config(cfg), cfg["leaves_only"]):
         rows.append({
             "loss_mode": arm,
             "hit1": round(100.0 * rep.hit_at_1, 2),
@@ -411,16 +414,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = data.SynthConfig(
-        levels=args.levels,
-        branching=args.branching,
-        examples_per_leaf=args.examples_per_leaf,
-        feature_dim=args.feature_dim,
-        cluster_separation=args.separation,
-        label_noise=args.label_noise,
-        seed=args.seed,
+    d = data.synth_generate(
+        data.SynthConfig(**{name: getattr(args, name) for name in SYNTH_KEYS.values()})
     )
-    d = data.synth_generate(cfg)
     data.emit_native(d, args.out)
     print(f"wrote {d.n_examples} examples, {d.taxonomy.n_classes} classes to {args.out}")
     return 0
@@ -445,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         if with_train_shortcuts:
-            p.add_argument("--loss", choices=mlp.LOSS_MODES, help="shortcut for --set loss=...")
+            p.add_argument("--loss", choices=curriculum.LOSS_MODES,
+                           help="shortcut for --set loss=...")
             p.add_argument("--seed", type=int, help="shortcut for --set seed=...")
             p.add_argument("--epochs", type=int, help="shortcut for --set epochs=...")
             p.add_argument("--lr", type=float, help="shortcut for --set lr=...")
@@ -476,13 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synth", help="write a synthetic dataset in native format")
     p_syn.add_argument("--out", required=True, help="output directory")
-    p_syn.add_argument("--levels", type=int, default=3)
-    p_syn.add_argument("--branching", type=int, default=3)
-    p_syn.add_argument("--examples-per-leaf", type=int, default=150)
-    p_syn.add_argument("--feature-dim", type=int, default=16)
-    p_syn.add_argument("--separation", type=float, default=2.0)
-    p_syn.add_argument("--label-noise", type=float, default=0.0)
-    p_syn.add_argument("--seed", type=int, default=0)
+    for key, name in SYNTH_KEYS.items():
+        typ, default = CONFIG_SPEC[key]
+        flag = "seed" if key == "data_seed" else key  # synth has no training seed
+        p_syn.add_argument("--" + flag.replace("_", "-"), dest=name, type=typ,
+                           default=default, metavar=flag.upper())
     p_syn.set_defaults(func=cmd_synth)
     return parser
 

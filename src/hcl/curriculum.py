@@ -9,11 +9,18 @@ and e_total is the total transformed 0-1 loss. Minimizing over s admits a
 prefix-optimal solution in the classes sorted by ascending L, which
 ``select_classes`` computes in O(C log C); ``brute_force_select`` is the
 exhaustive 2^C oracle used to certify it.
+
+A training loss is a ``LossSpec``: a base loss (bce or focal), the
+hierarchy transform on or off, and the curriculum on or off. The loss modes
+are named presets of it (``LOSS_PRESETS``). ``hcl_loss`` runs a spec's
+epoch-end pass, which yields the selection vector, and ``hcl_grad`` the
+gradient of a batch under a fixed selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -140,37 +147,98 @@ def select_classes(
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
+BASE_LOSSES = ("bce", "focal")
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    """A training loss as three switches: the base loss, whether the
+    level-max transform is applied, and whether the curriculum selects the
+    trained classes."""
+
+    base: str = "bce"
+    transform: bool = True
+    curriculum: bool = True
+
+    def __post_init__(self):
+        if self.base not in BASE_LOSSES:
+            raise ValueError(f"unknown base loss {self.base!r}, expected one of {BASE_LOSSES}")
+
+
+# The loss modes that training and the CLI accept, each a preset spec.
+LOSS_PRESETS = {
+    "ce": LossSpec("bce", transform=False, curriculum=False),
+    "focal": LossSpec("focal", transform=False, curriculum=False),
+    "hcl-hier": LossSpec("bce", transform=True, curriculum=False),
+    "hcl-cl": LossSpec("bce", transform=False, curriculum=True),
+    "hcl": LossSpec("bce", transform=True, curriculum=True),
+}
+LOSS_MODES = tuple(LOSS_PRESETS)
+
+
+def _base_fns(spec: LossSpec, gamma: float):
+    """The spec's base loss surface and its gradient, looked up through
+    ``losses`` at call time."""
+    if spec.base == "focal":
+        return (partial(losses.focal_loss, gamma=gamma),
+                partial(losses.focal_grad, gamma=gamma))
+    return losses.bce_loss, losses.bce_grad
+
+
 def hcl_loss(
     y,
     scores,
     taxonomy: Taxonomy,
-    base: str = "bce",
+    spec: LossSpec = LOSS_PRESETS["hcl"],
     gamma: float = 2.0,
     scope: str = losses.SCOPE_ALL_SHALLOWER,
     decision_threshold: float = 0.5,
     rule: str = RULE_OPTIMAL_PREFIX,
     thresh: float | None = None,
 ):
-    """Full pipeline: base loss -> transform -> selection -> objective.
+    """Full pass of a loss spec: base loss -> transform -> selection -> objective.
 
-    Returns ``(value, s, weights)``: the objective value, the selection
-    vector, and N x C gradient weights on the base-loss elements (selection
-    broadcast per class, routed through the transform's argmax; the count
-    branch of the objective is constant in the scores and carries none).
+    Returns ``(value, s)``. With the curriculum, ``s`` is the selection
+    vector minimizing the objective over the base loss and the 0-1 loss
+    (both transformed when the spec has the transform), and ``value`` is
+    that objective. Without it, ``s`` is all ones and ``value`` is the
+    total (transformed) base loss. ``value`` sums over all N x C elements;
+    ``hcl_grad`` gives the gradient of the loss that ``s`` weights.
     """
-    if base == "bce":
-        surface = losses.bce_loss(y, scores)
-    elif base == "focal":
-        surface = losses.focal_loss(y, scores, gamma=gamma)
-    else:
-        raise ValueError(f"unknown base loss {base!r}")
-    lh, routing = losses.hier_transform(surface, taxonomy, scope=scope)
+    loss_fn, _ = _base_fns(spec, gamma)
+    surface = loss_fn(y, scores)
+    if spec.transform:
+        surface, _ = losses.hier_transform(surface, taxonomy, scope=scope)
+    if not spec.curriculum:
+        return float(surface.sum()), np.ones(taxonomy.n_classes)
     e01 = losses.zero_one_loss(y, scores, decision_threshold=decision_threshold)
-    e_h, _ = losses.hier_transform(e01, taxonomy, scope=scope)
-    agg = aggregate_class_losses(lh, e_h)
+    if spec.transform:
+        e01, _ = losses.hier_transform(e01, taxonomy, scope=scope)
+    agg = aggregate_class_losses(surface, e01)
     s = select_classes(agg, taxonomy.n_classes, rule=rule, thresh=thresh)
-    value = curriculum_objective(s, agg, taxonomy.n_classes)
-    weights = losses.hier_transform_backward(
-        routing, np.broadcast_to(s, surface.shape)
-    )
-    return value, s, weights
+    return curriculum_objective(s, agg, taxonomy.n_classes), s
+
+
+def hcl_grad(
+    y,
+    scores,
+    s,
+    taxonomy: Taxonomy,
+    spec: LossSpec = LOSS_PRESETS["hcl"],
+    gamma: float = 2.0,
+    scope: str = losses.SCOPE_ALL_SHALLOWER,
+):
+    """Per-element gradient w.r.t. the scores of ``sum_ij s_j * surface[i, j]``,
+    the surface being the spec's (transformed) base loss and ``s`` frozen.
+
+    With the transform, each element's weight ``s_j`` is routed to the base
+    element that realized its max; without it, column j is scaled by ``s_j``.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    loss_fn, grad_fn = _base_fns(spec, gamma)
+    base_grad = grad_fn(y, scores)
+    if not spec.transform:
+        return s[None, :] * base_grad
+    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=scope)
+    weights = losses.hier_transform_backward(routing, np.broadcast_to(s, routing.shape))
+    return weights * base_grad

@@ -67,27 +67,17 @@ def _top1_and_first_pos_rank(y, scores, cand):
 
 def hit_at_1(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
     """Fraction of examples whose top-ranked class is a positive label."""
-    y = check_label_matrix(y, taxonomy)
-    cand = _candidate_ids(taxonomy, leaves_only)
-    top1, _ = _top1_and_first_pos_rank(y, np.asarray(scores, dtype=np.float64), cand)
-    return float((y[np.arange(len(y)), top1] == 1).mean())
+    return evaluate(y, scores, taxonomy, leaves_only).hit_at_1
 
 
 def mrr(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
     """Mean reciprocal rank of the first positive class, ranks from 1."""
-    y = check_label_matrix(y, taxonomy)
-    cand = _candidate_ids(taxonomy, leaves_only)
-    _, first = _top1_and_first_pos_rank(y, np.asarray(scores, dtype=np.float64), cand)
-    rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
-    return float(rr.mean())
+    return evaluate(y, scores, taxonomy, leaves_only).mrr
 
 
 def hier_dist(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
     """Mean over examples of the LCA-height distance of the top-1 prediction."""
-    y = check_label_matrix(y, taxonomy)
-    cand = _candidate_ids(taxonomy, leaves_only)
-    top1, _ = _top1_and_first_pos_rank(y, np.asarray(scores, dtype=np.float64), cand)
-    return float(np.mean(_per_example_dist(y, top1, taxonomy)))
+    return evaluate(y, scores, taxonomy, leaves_only).hier_dist
 
 
 def _per_example_dist(y, top1, taxonomy: Taxonomy) -> np.ndarray:

@@ -2,23 +2,26 @@
 
 Everything runs in float64 and is a pure function of (seed, config, data):
 weight init, batch order and dropout masks all draw from one seeded
-generator in a fixed order. The training loop recomputes the curriculum
+generator in a fixed order. The loss mode names a preset of
+``curriculum.LossSpec``. The training loop recomputes the curriculum
 selection vector once per epoch from a full eval-mode pass over the train
-split; the same pass provides the logged training loss.
+split; the same pass provides the logged training loss, a per-example mean
+of the spec's (transformed) base loss, or of the curriculum objective when
+the spec has the curriculum.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import curriculum, losses, metrics
+from .curriculum import LOSS_MODES  # re-exported
 from .data import Dataset
 from .taxonomy import Taxonomy
-
-LOSS_MODES = ("ce", "focal", "hcl-hier", "hcl-cl", "hcl")
 
 CHECKPOINT_MAGIC = b"HCLMLP1\n"
 
@@ -226,57 +229,6 @@ class EpochLog:
         }
 
 
-def _selection_and_loss(scores, y, taxonomy, cfg: TrainConfig):
-    """Full-pass curriculum state: selection vector and the logged loss.
-
-    The logged loss is a per-example mean: plain column-summed base loss for
-    ce/focal, transformed for hcl-hier, and the curriculum objective value
-    for the selection-based modes.
-    """
-    n = len(y)
-    c = taxonomy.n_classes
-    mode = cfg.loss_mode
-    if mode == "ce":
-        return np.ones(c), float(losses.bce_loss(y, scores).sum() / n)
-    if mode == "focal":
-        return np.ones(c), float(losses.focal_loss(y, scores, cfg.focal_gamma).sum() / n)
-    if mode == "hcl-hier":
-        lh, _ = losses.hier_transform(losses.bce_loss(y, scores), taxonomy, cfg.transform_scope)
-        return np.ones(c), float(lh.sum() / n)
-    if mode == "hcl-cl":
-        base = losses.bce_loss(y, scores)
-        e01 = losses.zero_one_loss(y, scores, cfg.decision_threshold)
-        agg = curriculum.aggregate_class_losses(base, e01)
-        s = curriculum.select_classes(agg, c, cfg.selection_rule, cfg.selection_thresh)
-        return s, curriculum.curriculum_objective(s, agg, c) / n
-    value, s, _ = curriculum.hcl_loss(
-        y, scores, taxonomy,
-        scope=cfg.transform_scope,
-        decision_threshold=cfg.decision_threshold,
-        rule=cfg.selection_rule,
-        thresh=cfg.selection_thresh,
-    )
-    return s, value / n
-
-
-def _batch_dscores(xb_scores, yb, s, taxonomy, cfg: TrainConfig):
-    """Gradient of the batch training loss w.r.t. the scores."""
-    b = len(yb)
-    mode = cfg.loss_mode
-    if mode == "ce":
-        return losses.bce_grad(yb, xb_scores) / b
-    if mode == "focal":
-        return losses.focal_grad(yb, xb_scores, cfg.focal_gamma) / b
-    base_grad = losses.bce_grad(yb, xb_scores)
-    if mode == "hcl-cl":
-        return (s[None, :] * base_grad) / b
-    base = losses.bce_loss(yb, xb_scores)
-    _, routing = losses.hier_transform(base, taxonomy, cfg.transform_scope)
-    upstream = np.ones_like(base) if mode == "hcl-hier" else np.broadcast_to(s, base.shape)
-    w = losses.hier_transform_backward(routing, upstream)
-    return (w * base_grad) / b
-
-
 def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     """Mini-batch training; returns final params and the per-epoch log."""
     if taxonomy.n_classes != dataset.labels.shape[1]:
@@ -290,6 +242,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     x_va = dataset.features[idx_valid]
     y_va = dataset.labels[idx_valid]
 
+    spec = curriculum.LOSS_PRESETS[cfg.loss_mode]
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dataset.n_features, cfg.hidden_width, taxonomy.n_classes, cfg.seed)
     opt = _Optimizer(cfg, params)
@@ -310,12 +263,22 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
                 mask = (rng.random((len(batch), cfg.hidden_width))
                         >= cfg.dropout_rate).astype(np.float64)
             scores, cache = forward(params, xb, mask, cfg.dropout_rate)
-            dscores = _batch_dscores(scores, yb, s, taxonomy, cfg)
+            dscores = curriculum.hcl_grad(
+                yb, scores, s, taxonomy, spec, cfg.focal_gamma, cfg.transform_scope
+            ) / len(batch)
             grads = backward(params, cache, dscores)
             opt.step(params, grads)
 
         scores_tr, _ = forward(params, x_tr)
-        s, train_loss = _selection_and_loss(scores_tr, y_tr, taxonomy, cfg)
+        value, s = curriculum.hcl_loss(
+            y_tr, scores_tr, taxonomy, spec,
+            gamma=cfg.focal_gamma,
+            scope=cfg.transform_scope,
+            decision_threshold=cfg.decision_threshold,
+            rule=cfg.selection_rule,
+            thresh=cfg.selection_thresh,
+        )
+        train_loss = value / len(y_tr)
         if not np.isfinite(train_loss):
             raise TrainingDiverged(
                 f"non-finite training loss {train_loss!r} at epoch {epoch} "
@@ -350,19 +313,27 @@ def load_checkpoint(path) -> MlpParams:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        d, h, c = struct.unpack("<QQQ", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        d, h, c = struct.unpack("<QQQ", header)
+        # check the claimed dims against the file before allocating any block
+        if min(d, h, c) < 1:
+            raise ValueError(f"{path}: checkpoint header claims D={d} H={h} C={c}; "
+                             "dimensions must be positive")
+        size = os.fstat(fh.fileno()).st_size
+        want = len(CHECKPOINT_MAGIC) + 24 + 8 * (d * h + h + h * c + c)
+        if size != want:
+            raise ValueError(f"{path}: checkpoint header claims D={d} H={h} C={c}, "
+                             f"{want} bytes in all, but the file has {size} bytes")
+
         def block(shape):
-            n = int(np.prod(shape))
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"{path}: truncated checkpoint")
+            buf = fh.read(8 * int(np.prod(shape)))
             return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-        params = MlpParams(
+
+        return MlpParams(
             W1=block((d, h)), b1=block((h,)), W2=block((h, c)), b2=block((c,))
         )
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    return params
 
 
 def config_dict(cfg: TrainConfig) -> dict:

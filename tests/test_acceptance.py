@@ -161,9 +161,9 @@ def test_ablation_favors_the_combined_loss(acceptance_log):
     arms = {arm: [] for arm in cli.ABLATION_ARMS}
     for seed in range(5):
         d = _desk_dataset(noise=0.15, seed=seed)
-        for arm in arms:
-            tc = mlp.TrainConfig(loss_mode=arm, epochs=50, seed=seed)
-            arms[arm].append(_test_hierdist(d, tc).hier_dist)
+        tc = mlp.TrainConfig(epochs=50, seed=seed)
+        for arm, rep in cli.ablation_reports(d, tc):
+            arms[arm].append(rep.hier_dist)
     means = {arm: float(np.mean(vals)) for arm, vals in arms.items()}
 
     beats_flat = means["hcl"] <= means["ce"]

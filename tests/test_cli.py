@@ -6,13 +6,14 @@ it writes, so exit codes, stdout/stderr and file layouts are all covered.
 
 import json
 import filecmp
+import struct
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hcl import cli, data
+from hcl import cli, data, mlp
 
 EPOCH_KEYS = {"epoch", "loss", "hit1", "mrr", "hierdist", "selected_classes"}
 
@@ -146,6 +147,24 @@ def test_eval_rejects_checkpoint_dataset_dimension_mismatch(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "D=6" in err and "D=5" in err
+
+
+@pytest.mark.parametrize("dims", [(1 << 20, 1 << 20, 2), (1 << 62, 8, 8)])
+def test_eval_rejects_checkpoint_header_larger_than_its_file(tmp_path, capsys, dims):
+    run = tmp_path / "run"
+    assert _train(run) == 0
+    forged = tmp_path / "forged.bin"
+    raw = (run / "checkpoint.bin").read_bytes()
+    magic = len(mlp.CHECKPOINT_MAGIC)
+    forged.write_bytes(raw[:magic] + struct.pack("<QQQ", *dims) + raw[magic + 24:])
+    capsys.readouterr()
+    rc = cli.main([
+        "eval", "--checkpoint", str(forged), "--config", str(run / "config.resolved.cfg"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "checkpoint header claims" in err and "the file has" in err
 
 
 def test_eval_split_requires_a_tagged_dataset(tmp_path, capsys):

@@ -12,6 +12,9 @@ from hcl.curriculum import (
     aggregate_class_losses,
     brute_force_select,
     curriculum_objective,
+    LOSS_PRESETS,
+    LossSpec,
+    hcl_grad,
     hcl_loss,
     select_classes,
 )
@@ -243,11 +246,11 @@ def separable_instance(tax, rng, n=6):
 def test_pipeline_easy_instance_selects_everything(rng):
     tax = parse_hierarchy(["a", "a/b", "a/c"])
     y, scores = separable_instance(tax, rng)
-    value, s, weights = hcl_loss(y, scores, tax)
+    value, s = hcl_loss(y, scores, tax)
     assert s.tolist() == [1.0, 1.0, 1.0]
     lh, _ = losses.hier_transform(losses.bce_loss(y, scores), tax)
     assert value == pytest.approx(lh.sum())
-    assert weights.shape == y.shape
+    assert hcl_grad(y, scores, s, tax).shape == y.shape
 
 
 def test_pipeline_weights_vanish_for_unselected_unrouted_columns(rng):
@@ -256,11 +259,12 @@ def test_pipeline_weights_vanish_for_unselected_unrouted_columns(rng):
     # make one leaf column expensive enough to be dropped
     bad = tax.id_of("a/c")
     scores[:, bad] = np.where(y[:, bad] > 0, 0.01, 0.99)
-    value, s, weights = hcl_loss(y, scores, tax)
+    value, s = hcl_loss(y, scores, tax)
     assert s[bad] == 0.0
     # leaf columns route to themselves here (their base loss realizes the max),
-    # so an unselected leaf receives zero weight
-    assert np.all(weights[:, bad] == 0.0)
+    # so an unselected leaf receives zero weight and hence zero gradient
+    grad = hcl_grad(y, scores, s, tax)
+    assert np.all(grad[:, bad] == 0.0)
 
 
 def test_pipeline_matches_exhaustive_search_on_random_instances():
@@ -270,7 +274,7 @@ def test_pipeline_matches_exhaustive_search_on_random_instances():
     for _ in range(20):
         y = random_closed_labels(rng, tax, n=10)
         scores = rng.uniform(0.05, 0.95, size=y.shape)
-        value, s, _ = hcl_loss(y, scores, tax)
+        value, s = hcl_loss(y, scores, tax)
         lh, _ = losses.hier_transform(losses.bce_loss(y, scores), tax)
         eh, _ = losses.hier_transform(losses.zero_one_loss(y, scores), tax)
         agg = aggregate_class_losses(lh, eh)
@@ -284,13 +288,14 @@ def test_pipeline_flat_hierarchy_reduces_to_plain_class_selection(rng):
     tax = parse_hierarchy(["u", "v", "w"])
     y = random_closed_labels(rng, tax, n=8)
     scores = rng.uniform(0.05, 0.95, size=y.shape)
-    value, s, weights = hcl_loss(y, scores, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
+    value, s = hcl_loss(y, scores, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
     base = losses.bce_loss(y, scores)
     agg = aggregate_class_losses(base, losses.zero_one_loss(y, scores))
     s_ref = select_classes(agg, 3)
     assert np.array_equal(s, s_ref)
     assert value == pytest.approx(curriculum_objective(s_ref, agg, 3))
-    assert np.array_equal(weights, np.broadcast_to(s_ref, base.shape))
+    grad = hcl_grad(y, scores, s, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
+    assert np.array_equal(grad, s_ref * losses.bce_grad(y, scores))
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,3 +316,52 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
     s = select_classes(agg, tax.n_classes)
     value = curriculum_objective(s, agg, tax.n_classes)
     assert eh.sum() - 1e-9 <= value <= lh.sum() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# loss specs
+# ---------------------------------------------------------------------------
+
+
+def test_loss_modes_are_the_presets_in_order():
+    from hcl import mlp
+
+    assert mlp.LOSS_MODES == tuple(LOSS_PRESETS) == ("ce", "focal", "hcl-hier", "hcl-cl", "hcl")
+    assert LOSS_PRESETS["hcl"] == LossSpec()
+    assert LOSS_PRESETS["focal"] == LossSpec("focal", transform=False, curriculum=False)
+
+
+def test_loss_spec_rejects_unknown_base():
+    with pytest.raises(ValueError, match="base loss"):
+        LossSpec("mse")
+
+
+def test_specs_without_curriculum_select_every_class(rng):
+    tax = parse_hierarchy(["a", "a/b", "a/c"])
+    y, scores = separable_instance(tax, rng)
+    bad = tax.id_of("a/c")
+    scores[:, bad] = np.where(y[:, bad] > 0, 0.01, 0.99)
+    assert hcl_loss(y, scores, tax)[1][bad] == 0.0  # the curriculum drops it
+    for spec in (LossSpec("bce", False, False), LossSpec("focal", True, False)):
+        value, s = hcl_loss(y, scores, tax, spec)
+        assert s.tolist() == [1.0, 1.0, 1.0]
+        base_fn = losses.focal_loss if spec.base == "focal" else losses.bce_loss
+        surface = base_fn(y, scores)
+        if spec.transform:
+            surface, _ = losses.hier_transform(surface, tax)
+        assert value == float(surface.sum())
+
+
+def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
+    tax = parse_hierarchy(["a", "a/b", "a/c"])
+    y, scores = separable_instance(tax, rng)
+    spec = LossSpec("focal", transform=True, curriculum=True)
+    value, s = hcl_loss(y, scores, tax, spec, gamma=1.5)
+    lh, routing = losses.hier_transform(losses.focal_loss(y, scores, 1.5), tax)
+    eh, _ = losses.hier_transform(losses.zero_one_loss(y, scores), tax)
+    agg = aggregate_class_losses(lh, eh)
+    assert np.array_equal(s, select_classes(agg, 3))
+    assert value == curriculum_objective(s, agg, 3)
+    w = losses.hier_transform_backward(routing, np.broadcast_to(s, y.shape))
+    grad = hcl_grad(y, scores, s, tax, spec, gamma=1.5)
+    assert np.array_equal(grad, w * losses.focal_grad(y, scores, 1.5))

@@ -1,9 +1,10 @@
 """Each vectorised hot path against the slow version it replaced.
 
 The references below are the per-class ancestors-only loop, an independent
-per-class all-shallower scan, the ``np.add.at`` scatter and the allocating
-Adam step. The fast paths keep their arithmetic, so every comparison is
-bitwise (``np.array_equal``), not within a tolerance.
+per-class all-shallower scan, the ``np.add.at`` scatter, the allocating
+Adam step, and the per-mode dispatch of the training loss that the loss
+specs in ``curriculum`` replaced. The fast paths keep their arithmetic, so
+every comparison is bitwise (``np.array_equal``), not within a tolerance.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcl import losses, mlp, verify
+from hcl import curriculum, losses, mlp, verify
 from hcl.losses import SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY, hier_transform
 from hcl.taxonomy import parse_hierarchy
 
@@ -94,6 +95,51 @@ def slow_adam_step(state, params, grads, lr):
         mhat = state["m"][i] / (1 - b1 ** state["t"])
         vhat = state["v"][i] / (1 - b2 ** state["t"])
         p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def slow_selection_and_loss(scores, y, taxonomy, cfg):
+    """The retired per-mode epoch-end pass: selection vector and logged
+    loss, with the hcl mode's pipeline written out."""
+    n = len(y)
+    c = taxonomy.n_classes
+    mode = cfg.loss_mode
+    if mode == "ce":
+        return np.ones(c), float(losses.bce_loss(y, scores).sum() / n)
+    if mode == "focal":
+        return np.ones(c), float(losses.focal_loss(y, scores, cfg.focal_gamma).sum() / n)
+    if mode == "hcl-hier":
+        lh, _ = losses.hier_transform(losses.bce_loss(y, scores), taxonomy, cfg.transform_scope)
+        return np.ones(c), float(lh.sum() / n)
+    if mode == "hcl-cl":
+        base = losses.bce_loss(y, scores)
+        e01 = losses.zero_one_loss(y, scores, cfg.decision_threshold)
+        agg = curriculum.aggregate_class_losses(base, e01)
+        s = curriculum.select_classes(agg, c, cfg.selection_rule, cfg.selection_thresh)
+        return s, curriculum.curriculum_objective(s, agg, c) / n
+    lh, _ = losses.hier_transform(losses.bce_loss(y, scores), taxonomy, cfg.transform_scope)
+    e01 = losses.zero_one_loss(y, scores, cfg.decision_threshold)
+    e_h, _ = losses.hier_transform(e01, taxonomy, cfg.transform_scope)
+    agg = curriculum.aggregate_class_losses(lh, e_h)
+    s = curriculum.select_classes(agg, c, cfg.selection_rule, cfg.selection_thresh)
+    return s, curriculum.curriculum_objective(s, agg, c) / n
+
+
+def slow_batch_dscores(xb_scores, yb, s, taxonomy, cfg):
+    """The retired per-mode gradient of the batch loss w.r.t. the scores."""
+    b = len(yb)
+    mode = cfg.loss_mode
+    if mode == "ce":
+        return losses.bce_grad(yb, xb_scores) / b
+    if mode == "focal":
+        return losses.focal_grad(yb, xb_scores, cfg.focal_gamma) / b
+    base_grad = losses.bce_grad(yb, xb_scores)
+    if mode == "hcl-cl":
+        return (s[None, :] * base_grad) / b
+    base = losses.bce_loss(yb, xb_scores)
+    _, routing = losses.hier_transform(base, taxonomy, cfg.transform_scope)
+    upstream = np.ones_like(base) if mode == "hcl-hier" else np.broadcast_to(s, base.shape)
+    w = losses.hier_transform_backward(routing, upstream)
+    return (w * base_grad) / b
 
 
 def _forest(rng):
@@ -218,3 +264,92 @@ def test_optimizer_step_matches_allocating_reference(optimizer, chunk, monkeypat
     if optimizer == "adam":
         for fast, slow in zip(opt.m + opt.v, state["m"] + state["v"]):
             assert np.array_equal(fast, slow)
+
+
+# ---------------------------------------------------------------------------
+# loss core
+# ---------------------------------------------------------------------------
+
+
+def _random_scores(rng, shape):
+    """Sigmoid outputs, some drawn from a small grid so that losses tie,
+    scores sit on the decision threshold and saturate past the clamp."""
+    if rng.random() < 0.5:
+        return rng.uniform(0.0, 1.0, size=shape)
+    return rng.choice([0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0], size=shape)
+
+
+def _random_train_config(rng, mode, scope):
+    rule, thresh = curriculum.RULE_OPTIMAL_PREFIX, None
+    if rng.random() < 0.25:
+        rule, thresh = curriculum.RULE_FIXED_THRESHOLD, float(rng.uniform(0.0, 20.0))
+    return mlp.TrainConfig(
+        loss_mode=mode,
+        transform_scope=scope,
+        focal_gamma=float(rng.choice([0.0, 1.5, 2.0])),
+        decision_threshold=float(rng.choice([0.5, 0.3])),
+        selection_rule=rule,
+        selection_thresh=thresh,
+    )
+
+
+@pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
+@pytest.mark.parametrize("mode", mlp.LOSS_MODES)
+def test_loss_core_matches_retired_per_mode_dispatch(mode, scope):
+    rng = np.random.default_rng(sum(map(ord, mode + scope)))
+    spec = curriculum.LOSS_PRESETS[mode]
+    for _ in range(12):
+        tax = verify.random_taxonomy(rng)
+        cfg = _random_train_config(rng, mode, scope)
+        n = int(rng.integers(1, 2 * BLOCK + 10))
+        y = np.where(rng.random((n, tax.n_classes)) < 0.3, 1.0, -1.0)
+        scores = _random_scores(rng, y.shape)
+
+        s_ref, loss_ref = slow_selection_and_loss(scores, y, tax, cfg)
+        value, s = curriculum.hcl_loss(
+            y, scores, tax, spec, gamma=cfg.focal_gamma, scope=scope,
+            decision_threshold=cfg.decision_threshold,
+            rule=cfg.selection_rule, thresh=cfg.selection_thresh,
+        )
+        assert np.array_equal(s, s_ref)
+        assert value / n == loss_ref
+
+        # a batch under the epoch's selection, as the training loop forms it
+        batch = rng.permutation(n)[:BLOCK]
+        yb, sb = y[batch], scores[batch]
+        grad = curriculum.hcl_grad(yb, sb, s, tax, spec, cfg.focal_gamma, scope) / len(batch)
+        assert np.array_equal(grad, slow_batch_dscores(sb, yb, s, tax, cfg))
+
+
+def _focal_tie_free_scores(rng, y, margin=1e-3):
+    """Scores with true-class probability in [0.05, 0.7], where focal loss
+    is steep, and pairwise-distinct focal losses per example."""
+    for _ in range(200):
+        pt = rng.uniform(0.05, 0.7, size=y.shape)
+        scores = np.where(y > 0, pt, 1.0 - pt)
+        rows = np.sort(losses.focal_loss(y, scores, 2.0), axis=1)
+        if y.shape[1] < 2 or np.diff(rows, axis=1).min() > margin:
+            return scores
+    raise RuntimeError("could not draw tie-free focal losses")
+
+
+@pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
+def test_focal_transform_curriculum_gradient_matches_finite_differences(scope):
+    """The spec no loss mode names: focal base, transform and curriculum."""
+    spec = curriculum.LossSpec("focal", transform=True, curriculum=True)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        tax = verify.random_taxonomy(rng, max_classes=6, max_depth=3)
+        n, c = int(rng.integers(2, 5)), tax.n_classes
+        y = np.where(rng.random((n, c)) < 0.5, -1.0, 1.0)
+        scores = _focal_tie_free_scores(rng, y)
+        _, s_epoch = curriculum.hcl_loss(y, scores, tax, spec, gamma=2.0, scope=scope)
+        for s in (s_epoch, (rng.random(c) < 0.5).astype(np.float64)):
+
+            def objective(sc, s=s):
+                lh, _ = hier_transform(losses.focal_loss(y, sc, 2.0), tax, scope)
+                return float((s[None, :] * lh).sum())
+
+            analytic = curriculum.hcl_grad(y, scores, s, tax, spec, 2.0, scope)
+            fd = verify._fd_grad(objective, scores)
+            assert verify.max_rel_err(analytic, fd) < verify.GRAD_RTOL

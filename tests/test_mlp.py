@@ -169,29 +169,21 @@ def test_backward_rejects_wrong_upstream_shape(rng):
 # ---------------------------------------------------------------------------
 
 
-def _mode_value_and_dscores(mode, y, scores, tax, frozen_s):
+def _mode_value(mode, y, scores, tax, frozen_s):
     """Scalar training objective for the differentiated branch of each mode,
-    plus its analytic gradient w.r.t. the scores."""
+    written out independently of ``curriculum``."""
     bce = losses.bce_loss(y, scores)
-    bgrad = losses.bce_grad(y, scores)
     if mode == "ce":
-        return bce.sum(), bgrad
+        return bce.sum()
     if mode == "focal":
-        return (
-            losses.focal_loss(y, scores, gamma=2.0).sum(),
-            losses.focal_grad(y, scores, gamma=2.0),
-        )
-    lh, routing = losses.hier_transform(bce, tax)
+        return losses.focal_loss(y, scores, gamma=2.0).sum()
+    lh, _ = losses.hier_transform(bce, tax)
     if mode == "hcl-hier":
-        w = losses.hier_transform_backward(routing, np.ones_like(lh))
-        return lh.sum(), w * bgrad
+        return lh.sum()
     if mode == "hcl-cl":
-        return (bce * frozen_s).sum(), frozen_s * bgrad
+        return (bce * frozen_s).sum()
     if mode == "hcl":
-        w = losses.hier_transform_backward(
-            routing, np.broadcast_to(frozen_s, lh.shape)
-        )
-        return (lh * frozen_s).sum(), w * bgrad
+        return (lh * frozen_s).sum()
     raise AssertionError(mode)
 
 
@@ -215,14 +207,15 @@ def test_parameter_gradients_match_finite_differences(mode):
     params.b2 += np.array([1.2, -0.8, -1.6, 0.6, -0.2, -2.4])
 
     scores0, cache0 = forward(params, x)
-    _, s0, _ = curriculum.hcl_loss(y, scores0, tax)
-    _, dscores = _mode_value_and_dscores(mode, y, scores0, tax, s0)
+    spec = curriculum.LOSS_PRESETS[mode]
+    _, s0 = curriculum.hcl_loss(y, scores0, tax, spec)
+    # the gradient function that training calls
+    dscores = curriculum.hcl_grad(y, scores0, s0, tax, spec)
     analytic = backward(params, cache0, dscores)
 
     def value_at(p):
         sc, _ = forward(p, x)
-        v, _ = _mode_value_and_dscores(mode, y, sc, tax, s0)
-        return v
+        return _mode_value(mode, y, sc, tax, s0)
 
     step = 1e-5
     worst = 0.0
@@ -366,4 +359,14 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
     save_checkpoint(path, init_params(2, 2, 2, seed=0))
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_short_header_and_zero_dims(tmp_path):
+    path = tmp_path / "model.bin"
+    path.write_bytes(mlp.CHECKPOINT_MAGIC + b"\x01" * 10)
+    with pytest.raises(ValueError, match="header"):
+        load_checkpoint(path)
+    path.write_bytes(mlp.CHECKPOINT_MAGIC + bytes(24))
+    with pytest.raises(ValueError, match="positive"):
         load_checkpoint(path)
