@@ -65,7 +65,7 @@ CONFIG_SPEC: dict[str, tuple[type, object]] = {
     "data": (str, "synth"),  # synth | native | arff
     "data_dir": (str, ""),
     "arff_path": (str, ""),
-    "split_ratios": (str, "0.6,0.2,0.2"),
+    "split_ratios": (str, ",".join(map(str, data.SPLIT_RATIOS))),
     "split_seed": (int, 0),
     "normalize": (bool, True),
     "leaves_only": (bool, False),

@@ -99,7 +99,6 @@ def select_classes(
     n_classes: int,
     rule: str = RULE_OPTIMAL_PREFIX,
     thresh: float | None = None,
-    normalize: bool = False,
 ) -> np.ndarray:
     """Pick the curriculum selection vector.
 
@@ -109,12 +108,11 @@ def select_classes(
 
     fixed-threshold: simpler fixed-cutoff rule; finds the smallest K with
     prefixSum(K) > thresh + 1 - K and selects sorted ranks strictly below K
-    (all classes if no K qualifies). Requires an explicit thresh; with
-    ``normalize`` the per-class sums are divided by the example count first.
+    (all classes if no K qualifies). Requires an explicit thresh.
     """
     if len(agg.L) != n_classes:
         raise ValueError("aggregate length does not match C")
-    L = agg.L.astype(np.float64, copy=True)
+    L = np.asarray(agg.L, dtype=np.float64)
     e_total = agg.e_h_total
     order = np.argsort(L, kind="stable")
     s = np.zeros(n_classes, dtype=np.float64)
@@ -132,8 +130,6 @@ def select_classes(
                 "fixed-threshold rule needs an explicit thresh; pass thresh= "
                 "or use the optimal-prefix rule"
             )
-        if normalize:
-            L = L / max(agg.n_examples, 1)
         psum = np.cumsum(L[order])
         k_cross = None
         for k in range(1, n_classes + 1):

@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .losses import check_label_matrix
-from .taxonomy import Taxonomy, load_hierarchy_file, parse_hierarchy
+from .taxonomy import VIRTUAL_ROOT, Taxonomy, load_hierarchy_file, parse_hierarchy
 
 SPLIT_NAMES = ("train", "valid", "test")
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 
 @dataclass
@@ -67,11 +68,11 @@ def validate_dataset(d: Dataset) -> Dataset:
 def close_labels(positives_per_row, taxonomy: Taxonomy) -> np.ndarray:
     """Encode per-row positive class-id lists as an ancestor-closed +-1 matrix."""
     y = np.full((len(positives_per_row), taxonomy.n_classes), -1, dtype=np.int8)
-    for i, pos in enumerate(positives_per_row):
-        for c in pos:
-            y[i, c] = 1
-            for a in taxonomy.ancestors(c):
-                y[i, a] = 1
+    ids = np.fromiter((c for pos in positives_per_row for c in pos), dtype=np.int64)
+    rows = np.repeat(np.arange(len(y)), [len(pos) for pos in positives_per_row])
+    paths = taxonomy.path_ids[ids]  # each positive's root path, itself included
+    on_path = paths != VIRTUAL_ROOT
+    y[np.broadcast_to(rows[:, None], paths.shape)[on_path], paths[on_path]] = 1
     return y
 
 
@@ -161,9 +162,16 @@ def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
     if not rows:
         raise ValueError(f"{features_csv}: no feature rows")
     try:
-        features = np.array([[float(t) for t in r.split(",")] for r in rows], dtype=np.float64)
+        values = [[float(t) for t in r.split(",")] for r in rows]
     except ValueError as exc:
         raise ValueError(f"{features_csv}: non-numeric feature value ({exc})") from None
+    for i, v in enumerate(values):
+        if len(v) != len(values[0]):
+            raise ValueError(
+                f"{features_csv}: row {i} has {len(v)} values, "
+                f"but the first row has {len(values[0])}"
+            )
+    features = np.array(values, dtype=np.float64)
     with open(labels_file, encoding="utf-8") as fh:
         label_lines = [line.rstrip("\n") for line in fh]
     while label_lines and label_lines[-1] == "":
@@ -198,18 +206,19 @@ def emit_native(d: Dataset, directory) -> None:
         for row in d.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     tax = d.taxonomy
+    pos = d.labels == 1
+    # a positive child clears its parent, leaving the most specific positives
+    maximal = pos.copy()
+    child = np.flatnonzero(tax.parent_ids != VIRTUAL_ROOT)
+    rows, k = np.nonzero(pos[:, child])
+    maximal[rows, tax.parent_ids[child[k]]] = False
     with open(os.path.join(directory, "labels.txt"), "w", encoding="utf-8") as fh:
-        for yrow in d.labels:
-            pos = np.flatnonzero(yrow == 1)
-            maximal = [
-                c for c in pos
-                if not any(yrow[k] == 1 for k in tax.children[c])
-            ]
-            fh.write(";".join(tax.class_names[c] for c in maximal) + "\n")
+        for row in maximal:
+            fh.write(";".join(tax.class_names[c] for c in np.flatnonzero(row)) + "\n")
     tax.to_file(os.path.join(directory, "hierarchy.txt"))
 
 
-def split(d: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
+def split(d: Dataset, ratios=SPLIT_RATIOS, seed: int = 0) -> Dataset:
     """Assign train/valid/test tags, stratified by top-level class.
 
     Global split sizes follow the ratios exactly (largest-remainder
@@ -228,7 +237,7 @@ def split(d: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
 
     rng = np.random.default_rng(seed)
     top = d.taxonomy.top_level_ids
-    group_key = np.array([int(top[np.argmax(d.labels[i, top] == 1)]) for i in range(n)])
+    group_key = top[np.argmax(d.labels[:, top] == 1, axis=1)]
     tags = np.full(n, -1, dtype=np.int64)
     remaining = list(targets)
     for g in sorted(set(group_key.tolist())):
@@ -347,26 +356,21 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         scale = cfg.cluster_separation * 0.5 ** (len(parts) - 1)
         centers[name] = centers[parent] + scale * direction
 
-    leaves = [taxonomy.class_names[c] for c in taxonomy.leaf_ids]
-    n = len(leaves) * cfg.examples_per_leaf
+    n = len(taxonomy.leaf_ids) * cfg.examples_per_leaf
     features = np.empty((n, cfg.feature_dim))
     positives = []
     row = 0
-    for leaf in leaves:
-        siblings = [
-            taxonomy.class_names[k]
-            for k in taxonomy.children[taxonomy.parent[taxonomy.id_of(leaf)]]
-            if taxonomy.class_names[k] != leaf
-        ] if taxonomy.parent[taxonomy.id_of(leaf)] is not None else [
-            taxonomy.class_names[k] for k in taxonomy.top_level_ids
-            if taxonomy.class_names[k] != leaf
-        ]
+    for leaf in taxonomy.leaf_ids:
+        # the other children of the leaf's parent, the virtual root included
+        siblings = np.flatnonzero(taxonomy.parent_ids == taxonomy.parent_ids[leaf])
+        siblings = siblings[siblings != leaf]
         for _ in range(cfg.examples_per_leaf):
-            features[row] = centers[leaf] + FEATURE_NOISE_SCALE * rng.standard_normal(cfg.feature_dim)
+            features[row] = (centers[taxonomy.class_names[leaf]]
+                             + FEATURE_NOISE_SCALE * rng.standard_normal(cfg.feature_dim))
             labeled = leaf
-            if cfg.label_noise > 0 and siblings and rng.random() < cfg.label_noise:
+            if cfg.label_noise > 0 and len(siblings) and rng.random() < cfg.label_noise:
                 labeled = siblings[rng.integers(len(siblings))]
-            positives.append([taxonomy.id_of(labeled)])
+            positives.append([labeled])
             row += 1
     labels = close_labels(positives, taxonomy)
     return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))

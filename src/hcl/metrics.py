@@ -5,6 +5,15 @@ hierarchy distance additionally consults the taxonomy. A top-1 prediction
 that is itself a positive label scores distance 0; otherwise the distance is
 the minimum, over positive classes, of the height of their lowest common
 ancestor with the prediction. The virtual root is never a ranked candidate.
+
+That minimum is read off the prediction's root path (a row of
+``Taxonomy.path_ids``). The LCA of any class with the prediction lies on that
+path, and the LCA of a positive is an ancestor of it, so it is positive too,
+the label matrix being ancestor-closed. Conversely, each positive on the path
+is its own LCA with the prediction. The candidates are thus the positives on
+the path, which form a prefix of it; heights fall strictly down a path, so
+the deepest of them has the minimum height. With no positive on the path
+every LCA is the virtual root, whose height is the tree's ``max_level``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import check_label_matrix
-from .taxonomy import Taxonomy
+from .taxonomy import VIRTUAL_ROOT, Taxonomy
 
 
 @dataclass
@@ -38,31 +47,10 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def rank_classes(score_row) -> np.ndarray:
-    """Class ids sorted by descending score, ties broken by ascending id."""
-    row = np.asarray(score_row, dtype=np.float64)
-    return np.lexsort((np.arange(len(row)), -row))
-
-
-def _candidate_ids(taxonomy: Taxonomy, leaves_only: bool) -> np.ndarray:
-    return taxonomy.leaf_ids if leaves_only else np.arange(taxonomy.n_classes)
-
-
-def _top1_and_first_pos_rank(y, scores, cand):
-    """Per-example top candidate and the 1-based rank of the first positive.
-
-    Rank is 0 when no candidate class is positive (possible only under a
-    leaves-only restriction).
-    """
-    sub = scores[:, cand]
-    order = np.lexsort((np.broadcast_to(cand, sub.shape), -sub), axis=1)
-    ranked = cand[order]  # ids, best first
-    top1 = ranked[:, 0]
-    first = np.zeros(len(y), dtype=np.int64)
-    for i in range(len(y)):
-        hits = np.flatnonzero(y[i, ranked[i]] == 1)
-        first[i] = hits[0] + 1 if len(hits) else 0
-    return top1, first
+def rank_classes(scores) -> np.ndarray:
+    """Class ids of each row sorted by descending score, ties broken by
+    ascending id; NaN ranks last."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
 def hit_at_1(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
@@ -80,17 +68,6 @@ def hier_dist(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float
     return evaluate(y, scores, taxonomy, leaves_only).hier_dist
 
 
-def _per_example_dist(y, top1, taxonomy: Taxonomy) -> np.ndarray:
-    dist = np.zeros(len(y), dtype=np.float64)
-    for i in range(len(y)):
-        p = int(top1[i])
-        if y[i, p] == 1:
-            continue  # the prediction is itself correct
-        positives = np.flatnonzero(y[i] == 1)
-        dist[i] = min(taxonomy.node_height(taxonomy.lca(c, p)) for c in positives)
-    return dist
-
-
 def evaluate(
     y, scores, taxonomy: Taxonomy, leaves_only: bool = False, per_example: bool = False
 ) -> EvalReport:
@@ -99,11 +76,22 @@ def evaluate(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != y.shape:
         raise ValueError(f"score shape {scores.shape} does not match labels {y.shape}")
-    cand = _candidate_ids(taxonomy, leaves_only)
-    top1, first = _top1_and_first_pos_rank(y, scores, cand)
-    hits = (y[np.arange(len(y)), top1] == 1).astype(np.float64)
+    cand = taxonomy.leaf_ids if leaves_only else np.arange(taxonomy.n_classes)
+    ex = np.arange(len(y))
+    ranked = cand[rank_classes(scores[:, cand])]  # ids, best first
+    top1 = ranked[:, 0]
+    pos_ranked = y[ex[:, None], ranked] == 1
+    # 1-based rank of the first positive; 0 when no candidate is positive
+    # (possible only under a leaves-only restriction)
+    first = np.where(pos_ranked.any(axis=1), np.argmax(pos_ranked, axis=1) + 1, 0)
+    hits = pos_ranked[:, 0].astype(np.float64)
     rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
-    dist = _per_example_dist(y, top1, taxonomy)
+    # the positives on the prediction's root path are a prefix of it
+    path = taxonomy.path_ids[top1]
+    depth = ((y[ex[:, None], path] == 1) & (path != VIRTUAL_ROOT)).sum(axis=1)
+    deepest = path[ex, np.maximum(depth - 1, 0)]
+    dist = np.where(depth > 0, taxonomy.heights[deepest], taxonomy.max_level)
+    dist = np.where(hits > 0, 0, dist).astype(np.float64)
     rows = None
     if per_example:
         rows = [

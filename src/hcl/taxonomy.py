@@ -36,7 +36,7 @@ class Taxonomy:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
+    @cached_property
     def max_level(self) -> int:
         return max(self.level)
 
@@ -56,10 +56,10 @@ class Taxonomy:
     def heights(self) -> np.ndarray:
         """Per-class height: edges on the longest downward path to a leaf."""
         h = np.zeros(self.n_classes, dtype=np.int64)
-        # children are always deeper, so a reverse level sweep is a post-order
-        for c in sorted(range(self.n_classes), key=lambda c: -self.level[c]):
-            if self.children[c]:
-                h[c] = 1 + max(h[k] for k in self.children[c])
+        # children are always one level deeper, so a reverse level sweep
+        # finishes every class before its parent reads it
+        for ids in reversed(self.levels_index[2:]):
+            np.maximum.at(h, self.parent_ids[ids], h[ids] + 1)
         return h
 
     @cached_property
@@ -88,33 +88,35 @@ class Taxonomy:
 
     @cached_property
     def leaf_ids(self) -> np.ndarray:
-        return np.asarray(
-            [c for c in range(self.n_classes) if not self.children[c]], dtype=np.int64
-        )
+        return np.flatnonzero(self.heights == 0)
+
+    @cached_property
+    def path_ids(self) -> np.ndarray:
+        """C x max_level ancestor table: row c holds c's ancestor at each of
+        levels 1..level(c), c itself last, then ``VIRTUAL_ROOT``.
+
+        Two classes share an ancestor at a level exactly when they share the
+        whole row prefix up to it, so ancestor and LCA queries are row reads.
+        """
+        paths = np.full((self.n_classes, self.max_level), VIRTUAL_ROOT, dtype=np.int64)
+        for lvl, ids in enumerate(self.levels_index[1:], start=1):
+            if lvl > 1:
+                paths[ids] = paths[self.parent_ids[ids]]
+            paths[ids, lvl - 1] = ids
+        return paths
 
     def ancestors(self, c: int) -> list[int]:
         """Strict ancestors of c, nearest first, excluding the virtual root."""
         c = self._check_id(c)
-        out = []
-        p = self.parent[c]
-        while p is not None:
-            out.append(p)
-            p = self.parent[p]
-        return out
+        return self.path_ids[c, : self.level[c] - 1][::-1].tolist()
 
     def lca(self, a: int, b: int) -> int:
         """Deepest ancestor-or-self of both a and b; VIRTUAL_ROOT if none."""
         a, b = self._check_id(a), self._check_id(b)
-        while self.level[a] > self.level[b]:
-            a = self.parent[a]  # type: ignore[assignment]
-        while self.level[b] > self.level[a]:
-            b = self.parent[b]  # type: ignore[assignment]
-        while a != b:
-            pa, pb = self.parent[a], self.parent[b]
-            if pa is None or pb is None:
-                return VIRTUAL_ROOT
-            a, b = pa, pb
-        return a
+        row = self.path_ids[a]
+        # rows agree on a level only if they agree on every shallower one
+        k = int(((row == self.path_ids[b]) & (row != VIRTUAL_ROOT)).sum())
+        return int(row[k - 1]) if k else VIRTUAL_ROOT
 
     def node_height(self, v: int) -> int:
         """Height of a class id, or of the whole tree for VIRTUAL_ROOT."""

@@ -263,6 +263,22 @@ def test_native_source_requires_data_dir(tmp_path, capsys):
     assert "requires data_dir" in capsys.readouterr().err
 
 
+def test_ragged_native_features_are_a_one_line_error(tmp_path, capsys):
+    src = tmp_path / "native"
+    src.mkdir()
+    (src / "features.csv").write_text("1,2\n3\n")
+    (src / "labels.txt").write_text("a\nb\n")
+    (src / "hierarchy.txt").write_text("a\nb\n")
+    rc = cli.main([
+        "train", "--out", str(tmp_path / "r"),
+        "--set", "data=native", "--set", f"data_dir={src}",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "row 1 has 1 values, but the first row has 2" in err
+
+
 def test_missing_dataset_path_is_reported(tmp_path, capsys):
     missing = tmp_path / "nowhere.arff"
     rc = cli.main([

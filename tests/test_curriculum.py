@@ -209,15 +209,6 @@ def test_threshold_rule_selects_all_when_never_tripped():
     assert s.tolist() == [1.0, 1.0]
 
 
-def test_threshold_rule_normalize_divides_by_example_count():
-    agg = agg_of([10.0, 20.0], 0.0, n_examples=10)
-    raw = select_classes(agg, 2, rule=RULE_FIXED_THRESHOLD, thresh=5.0)
-    norm = select_classes(agg, 2, rule=RULE_FIXED_THRESHOLD, thresh=5.0, normalize=True)
-    # raw sums trip the condition immediately; normalized ones never do
-    assert raw.tolist() == [0.0, 0.0]
-    assert norm.tolist() == [1.0, 1.0]
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------

@@ -132,6 +132,16 @@ def test_native_unknown_path(tmp_path):
         load_native_dir(tmp_path)
 
 
+def test_native_ragged_feature_rows_name_the_row_and_widths(tmp_path):
+    native_dir(tmp_path)
+    (tmp_path / "features.csv").write_text("1,2\n3\n4,5\n")
+    with pytest.raises(ValueError) as exc:
+        load_native_dir(tmp_path)
+    assert str(exc.value) == (
+        f"{tmp_path / 'features.csv'}: row 1 has 1 values, but the first row has 2"
+    )
+
+
 def test_native_round_trip_is_exact(tmp_path):
     src = synth_generate(
         SynthConfig(levels=3, branching=2, examples_per_leaf=7, feature_dim=3, seed=5)

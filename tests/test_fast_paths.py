@@ -2,9 +2,12 @@
 
 The references below are the per-class ancestors-only loop, an independent
 per-class all-shallower scan, the ``np.add.at`` scatter, the allocating
-Adam step, and the per-mode dispatch of the training loss that the loss
-specs in ``curriculum`` replaced. The fast paths keep their arithmetic, so
-every comparison is bitwise (``np.array_equal``), not within a tolerance.
+Adam step, the per-mode dispatch of the training loss that the loss
+specs in ``curriculum`` replaced, the parent-walking tree queries that the
+``Taxonomy.path_ids`` table replaced, the per-example ranking and LCA loops
+of ``metrics.evaluate``, and the per-class loops of label closure and of the
+native label writer. The fast paths keep their arithmetic, so every
+comparison is bitwise (``np.array_equal``), not within a tolerance.
 """
 
 import numpy as np
@@ -12,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcl import curriculum, losses, mlp, verify
+from hcl import curriculum, data, losses, metrics, mlp, verify
 from hcl.losses import SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY, hier_transform
-from hcl.taxonomy import parse_hierarchy
+from hcl.taxonomy import VIRTUAL_ROOT, parse_hierarchy
 
 BLOCK = losses._BLOCK_ROWS
 # one row, exactly one block, and several blocks plus a partial one
@@ -353,3 +356,196 @@ def test_focal_transform_curriculum_gradient_matches_finite_differences(scope):
             analytic = curriculum.hcl_grad(y, scores, s, tax, spec, 2.0, scope)
             fd = verify._fd_grad(objective, scores)
             assert verify.max_rel_err(analytic, fd) < verify.GRAD_RTOL
+
+
+# ---------------------------------------------------------------------------
+# tree queries, metrics and label encoding
+# ---------------------------------------------------------------------------
+
+
+def slow_ancestors(tax, c):
+    """Strict ancestors, nearest first, by walking ``parent``."""
+    out = []
+    p = tax.parent[c]
+    while p is not None:
+        out.append(p)
+        p = tax.parent[p]
+    return out
+
+
+def slow_lca(tax, a, b):
+    """Climb the deeper class to the other's level, then both in step."""
+    while tax.level[a] > tax.level[b]:
+        a = tax.parent[a]
+    while tax.level[b] > tax.level[a]:
+        b = tax.parent[b]
+    while a != b:
+        pa, pb = tax.parent[a], tax.parent[b]
+        if pa is None or pb is None:
+            return VIRTUAL_ROOT
+        a, b = pa, pb
+    return a
+
+
+def slow_heights(tax):
+    """Post-order over ``children`` by descending level."""
+    h = np.zeros(tax.n_classes, dtype=np.int64)
+    for c in sorted(range(tax.n_classes), key=lambda c: -tax.level[c]):
+        if tax.children[c]:
+            h[c] = 1 + max(h[k] for k in tax.children[c])
+    return h
+
+
+def slow_leaf_ids(tax):
+    return np.asarray([c for c in range(tax.n_classes) if not tax.children[c]], dtype=np.int64)
+
+
+def slow_top1_and_first_pos_rank(y, scores, cand):
+    """The retired per-example scan for the first positive in rank order."""
+    sub = scores[:, cand]
+    order = np.lexsort((np.broadcast_to(cand, sub.shape), -sub), axis=1)
+    ranked = cand[order]
+    top1 = ranked[:, 0]
+    first = np.zeros(len(y), dtype=np.int64)
+    for i in range(len(y)):
+        hits = np.flatnonzero(y[i, ranked[i]] == 1)
+        first[i] = hits[0] + 1 if len(hits) else 0
+    return top1, first
+
+
+def slow_per_example_dist(y, top1, tax):
+    """The retired minimum over positives of the height of their LCA with
+    the prediction, the virtual root counting as the whole tree's height."""
+    heights = slow_heights(tax)
+
+    def node_height(v):
+        return max(tax.level) if v == VIRTUAL_ROOT else int(heights[v])
+
+    dist = np.zeros(len(y), dtype=np.float64)
+    for i in range(len(y)):
+        p = int(top1[i])
+        if y[i, p] == 1:
+            continue
+        positives = np.flatnonzero(y[i] == 1)
+        dist[i] = min(node_height(slow_lca(tax, int(c), p)) for c in positives)
+    return dist
+
+
+def slow_evaluate(y, scores, tax, leaves_only):
+    cand = slow_leaf_ids(tax) if leaves_only else np.arange(tax.n_classes)
+    top1, first = slow_top1_and_first_pos_rank(y, scores, cand)
+    hits = (y[np.arange(len(y)), top1] == 1).astype(np.float64)
+    rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
+    dist = slow_per_example_dist(y, top1, tax)
+    rows = [(tax.class_names[int(t)], int(f), float(d)) for t, f, d in zip(top1, first, dist)]
+    return float(hits.mean()), float(rr.mean()), float(dist.mean()), rows
+
+
+def slow_close_labels(positives_per_row, tax):
+    """The retired nested loop: each positive, then each of its ancestors."""
+    y = np.full((len(positives_per_row), tax.n_classes), -1, dtype=np.int8)
+    for i, pos in enumerate(positives_per_row):
+        for c in pos:
+            y[i, c] = 1
+            for a in slow_ancestors(tax, c):
+                y[i, a] = 1
+    return y
+
+
+def slow_native_label_lines(labels, tax):
+    """The retired per-child scan: a positive is listed unless a child is."""
+    lines = []
+    for yrow in labels:
+        pos = np.flatnonzero(yrow == 1)
+        maximal = [c for c in pos if not any(yrow[k] == 1 for k in tax.children[c])]
+        lines.append(";".join(tax.class_names[c] for c in maximal))
+    return lines
+
+
+def _big_forest(rng):
+    return verify.random_taxonomy(rng, max_classes=40, max_depth=6)
+
+
+def _random_positives(rng, tax, n, allow_empty=False):
+    """Per-row positive id lists with several entries, repeats, and classes
+    listed together with their own ancestors."""
+    lo = 0 if allow_empty else 1
+    return [
+        [int(c) for c in rng.integers(0, tax.n_classes, size=int(rng.integers(lo, 5)))]
+        for _ in range(n)
+    ]
+
+
+def _tie_prone_scores(rng, shape):
+    """Uniform scores, or draws from a small grid with NaN, infinities and
+    both signed zeros, so that ranks tie often."""
+    if rng.random() < 0.3:
+        return rng.uniform(0.0, 1.0, size=shape)
+    grid = [np.nan, -np.inf, np.inf, -0.0, 0.0, 0.25, 0.5, 1.0]
+    return rng.choice(grid, size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_tree_queries_match_parent_walks(seed):
+    tax = _big_forest(np.random.default_rng(seed))
+    c = tax.n_classes
+    assert np.array_equal(tax.heights, slow_heights(tax))
+    assert tax.heights.dtype == np.int64
+    assert np.array_equal(tax.leaf_ids, slow_leaf_ids(tax))
+    assert tax.leaf_ids.dtype == np.int64
+    assert tax.max_level == max(tax.level)
+    assert tax.node_height(VIRTUAL_ROOT) == max(tax.level)
+    for a in range(c):
+        assert tax.ancestors(a) == slow_ancestors(tax, a)
+        for b in range(c):
+            assert tax.lca(a, b) == slow_lca(tax, a, b)
+
+
+@pytest.mark.parametrize("leaves_only", (False, True))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_evaluate_matches_retired_per_example_loops(seed, leaves_only):
+    rng = np.random.default_rng(seed)
+    tax = _big_forest(rng)
+    n = int(rng.integers(1, 30))
+    y = slow_close_labels(_random_positives(rng, tax, n), tax)
+    scores = _tie_prone_scores(rng, y.shape)
+    report = metrics.evaluate(y, scores, tax, leaves_only=leaves_only, per_example=True)
+    hit, rr, dist, rows = slow_evaluate(y, scores, tax, leaves_only)
+    assert (report.hit_at_1, report.mrr, report.hier_dist) == (hit, rr, dist)
+    assert report.per_example == rows
+
+
+def test_rank_classes_matches_lexsort_on_rows():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        scores = _tie_prone_scores(rng, (int(rng.integers(1, 20)), int(rng.integers(1, 40))))
+        ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+        ref = np.lexsort((ids, -scores), axis=1)
+        assert np.array_equal(metrics.rank_classes(scores), ref)
+        assert np.array_equal(metrics.rank_classes(scores[0]), ref[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_close_labels_matches_nested_loop(seed):
+    rng = np.random.default_rng(seed)
+    tax = _big_forest(rng)
+    positives = _random_positives(rng, tax, int(rng.integers(0, 30)), allow_empty=True)
+    y = data.close_labels(positives, tax)
+    ref = slow_close_labels(positives, tax)
+    assert y.dtype == ref.dtype and np.array_equal(y, ref)
+
+
+def test_emit_native_labels_match_per_child_scan(tmp_path):
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        tax = _big_forest(rng)
+        y = slow_close_labels(_random_positives(rng, tax, int(rng.integers(1, 30))), tax)
+        d = data.Dataset(features=rng.normal(size=(len(y), 2)), labels=y, taxonomy=tax)
+        out = tmp_path / str(trial)
+        data.emit_native(d, out)
+        lines = (out / "labels.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == slow_native_label_lines(y, tax)
+        assert np.array_equal(data.load_native_dir(out).labels, y)

@@ -89,7 +89,7 @@ def test_bound_chain_check_catches_a_deflated_transform():
 
 
 def test_selection_check_catches_a_greedy_rule():
-    def select_everything(agg, n_classes, rule=None, thresh=None, normalize=False):
+    def select_everything(agg, n_classes, rule=None, thresh=None):
         return np.ones(n_classes)
 
     r = check_selection_oracle(trials=100, seed=0, select=select_everything)
