@@ -111,9 +111,10 @@ def parse_arff_hmc(path) -> Dataset:
                     raise ValueError(
                         "the hierarchical class attribute must be the last attribute"
                     )
-                body = line.split(None, 1)[1]
-                name, _, typedecl = body.partition(" ")
-                typedecl = typedecl.strip()
+                fields = line.split(None, 2)
+                if len(fields) < 3:
+                    raise ValueError(f"attribute line needs a name and a type: {line!r}")
+                _, name, typedecl = fields
                 if typedecl.lower().startswith("hierarchical"):
                     domain = typedecl[len("hierarchical"):].strip()
                     class_domain = [t.strip() for t in domain.split(",") if t.strip()]

@@ -14,6 +14,18 @@ is its own LCA with the prediction. The candidates are thus the positives on
 the path, which form a prefix of it; heights fall strictly down a path, so
 the deepest of them has the minimum height. With no positive on the path
 every LCA is the virtual root, whose height is the tree's ``max_level``.
+
+Classes rank by descending score, ties to the lower class id, NaN last, and
+-0.0 ties with 0.0: the order in which a stable ascending ordering of the
+negated scores lists the columns. The metrics read two facts of that order,
+and neither needs the row put in order. The top class is the first column
+at the row's largest non-NaN score (column 0 when the row is all NaN). The
+order is strict and total, so a column's 1-based position in the ordered
+row is one plus the number of columns ahead of it: those that score
+higher, or the same with a lower id; behind a NaN, every non-NaN column and
+every NaN of lower id. The rank of the first positive is that count for the
+best-ranked positive, the first column in the same order among the
+positives alone.
 """
 
 from __future__ import annotations
@@ -47,10 +59,28 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def rank_classes(scores) -> np.ndarray:
-    """Class ids of each row sorted by descending score, ties broken by
-    ascending id; NaN ranks last."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
+def _first_in_rank(scores, allowed=None) -> np.ndarray:
+    """Each row's first column in rank order among the ``allowed`` ones
+    (all columns when None); a row whose allowed scores are all NaN gives
+    its first allowed column."""
+    s = scores if allowed is None else np.where(allowed, scores, np.nan)
+    top = np.fmax.reduce(s, axis=1)
+    first = np.argmax(s == top[:, None], axis=1)
+    if allowed is not None:
+        first = np.where(np.isnan(top), np.argmax(allowed, axis=1), first)
+    return first
+
+
+def _rank_of(scores, col) -> np.ndarray:
+    """1-based rank of column ``col[i]`` in row i: one plus the number of
+    columns ahead of it."""
+    own = scores[np.arange(len(scores)), col][:, None]
+    lower = np.arange(scores.shape[1]) < col[:, None]
+    ahead = (scores > own) | ((scores == own) & lower)
+    nan_own = np.isnan(own[:, 0])
+    if nan_own.any():
+        ahead[nan_own] = ~np.isnan(scores[nan_own]) | lower[nan_own]
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def hit_at_1(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
@@ -76,15 +106,18 @@ def evaluate(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != y.shape:
         raise ValueError(f"score shape {scores.shape} does not match labels {y.shape}")
-    cand = taxonomy.leaf_ids if leaves_only else np.arange(taxonomy.n_classes)
+    sc, pos = scores, y == 1
+    if leaves_only:
+        cand = taxonomy.leaf_ids
+        sc, pos = scores[:, cand], pos[:, cand]
     ex = np.arange(len(y))
-    ranked = cand[rank_classes(scores[:, cand])]  # ids, best first
-    top1 = ranked[:, 0]
-    pos_ranked = y[ex[:, None], ranked] == 1
+    top1 = _first_in_rank(sc)
+    if leaves_only:
+        top1 = cand[top1]
     # 1-based rank of the first positive; 0 when no candidate is positive
     # (possible only under a leaves-only restriction)
-    first = np.where(pos_ranked.any(axis=1), np.argmax(pos_ranked, axis=1) + 1, 0)
-    hits = pos_ranked[:, 0].astype(np.float64)
+    first = np.where(pos.any(axis=1), _rank_of(sc, _first_in_rank(sc, pos)), 0)
+    hits = (first == 1).astype(np.float64)
     rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
     # the positives on the prediction's root path are a prefix of it
     path = taxonomy.path_ids[top1]

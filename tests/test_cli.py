@@ -279,6 +279,19 @@ def test_ragged_native_features_are_a_one_line_error(tmp_path, capsys):
     assert "row 1 has 1 values, but the first row has 2" in err
 
 
+def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
+    src = tmp_path / "bad.arff"
+    src.write_text("@relation r\n@attribute\n@attribute c hierarchical a\n@data\n1,a\n")
+    rc = cli.main([
+        "train", "--out", str(tmp_path / "r"),
+        "--set", "data=arff", "--set", f"arff_path={src}",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "attribute line needs a name and a type: '@attribute'" in err
+
+
 def test_missing_dataset_path_is_reported(tmp_path, capsys):
     missing = tmp_path / "nowhere.arff"
     rc = cli.main([

@@ -93,6 +93,23 @@ def test_arff_unsupported_attribute_type_is_rejected(tmp_path):
         parse_arff_hmc(write_arff(tmp_path, bad))
 
 
+@pytest.mark.parametrize("line", ("@attribute", "@attribute f1", "@ATTRIBUTE\tf1 \t"))
+def test_arff_attribute_line_without_name_and_type_is_rejected(tmp_path, line):
+    bad = ARFF_FIXTURE.replace("@attribute f1 numeric", line)
+    with pytest.raises(ValueError, match="needs a name and a type"):
+        parse_arff_hmc(write_arff(tmp_path, bad))
+
+
+def test_arff_attribute_name_and_type_split_on_any_whitespace(tmp_path):
+    text = ARFF_FIXTURE.replace("@attribute f1 numeric", "@attribute\tf1\tnumeric")
+    text = text.replace("class hierarchical", "class\t hierarchical")
+    d = parse_arff_hmc(write_arff(tmp_path, text))
+    ref = parse_arff_hmc(write_arff(tmp_path))
+    assert np.array_equal(d.features, ref.features)
+    assert np.array_equal(d.labels, ref.labels)
+    assert d.taxonomy.class_names == ref.taxonomy.class_names
+
+
 # ---------------------------------------------------------------------------
 # native format
 # ---------------------------------------------------------------------------

@@ -485,6 +485,33 @@ def _tie_prone_scores(rng, shape):
     return rng.choice(grid, size=shape)
 
 
+def _edge_rows(rng, tax, n):
+    """Labels and scores in which each row is, at random: all NaN; NaN on
+    every positive; all tied (signed zeros); -inf on every positive with NaN
+    or 0.5 on the negatives; positive only above the leaves (no positive
+    leaf); or, half of the time, tie-prone throughout."""
+    inner = np.flatnonzero(tax.heights > 0)
+    kinds = rng.integers(0, 10, size=n)
+    positives = _random_positives(rng, tax, n)
+    for i in np.flatnonzero(kinds == 4):
+        if len(inner):
+            positives[i] = [int(rng.choice(inner))]
+    y = slow_close_labels(positives, tax)
+    scores = _tie_prone_scores(rng, y.shape)
+    for i, kind in enumerate(kinds):
+        pos = y[i] == 1
+        if kind == 0:
+            scores[i] = np.nan
+        elif kind == 1:
+            scores[i, pos] = np.nan
+        elif kind == 2:
+            scores[i] = rng.choice([-0.0, 0.0], size=tax.n_classes)
+        elif kind == 3:
+            scores[i] = rng.choice([np.nan, 0.5], size=tax.n_classes)
+            scores[i, pos] = -np.inf
+    return y, scores
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_tree_queries_match_parent_walks(seed):
@@ -509,22 +536,46 @@ def test_evaluate_matches_retired_per_example_loops(seed, leaves_only):
     rng = np.random.default_rng(seed)
     tax = _big_forest(rng)
     n = int(rng.integers(1, 30))
-    y = slow_close_labels(_random_positives(rng, tax, n), tax)
-    scores = _tie_prone_scores(rng, y.shape)
+    y, scores = _edge_rows(rng, tax, n)
     report = metrics.evaluate(y, scores, tax, leaves_only=leaves_only, per_example=True)
     hit, rr, dist, rows = slow_evaluate(y, scores, tax, leaves_only)
     assert (report.hit_at_1, report.mrr, report.hier_dist) == (hit, rr, dist)
     assert report.per_example == rows
 
 
-def test_rank_classes_matches_lexsort_on_rows():
+def _lexsort_rows(scores):
+    """Column ids of each row in rank order by the retired ``lexsort``."""
+    ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    return np.lexsort((ids, -scores), axis=1)
+
+
+def _rank_test_scores(rng):
+    scores = _tie_prone_scores(rng, (int(rng.integers(1, 20)), int(rng.integers(1, 40))))
+    scores[rng.random(len(scores)) < 0.2] = np.nan
+    return scores
+
+
+def test_rank_of_is_the_lexsort_position():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        scores = _tie_prone_scores(rng, (int(rng.integers(1, 20)), int(rng.integers(1, 40))))
-        ids = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
-        ref = np.lexsort((ids, -scores), axis=1)
-        assert np.array_equal(metrics.rank_classes(scores), ref)
-        assert np.array_equal(metrics.rank_classes(scores[0]), ref[0])
+        scores = _rank_test_scores(rng)
+        n, c = scores.shape
+        position = np.argsort(_lexsort_rows(scores), axis=1) + 1
+        for j in range(c):
+            assert np.array_equal(metrics._rank_of(scores, np.full(n, j)), position[:, j])
+
+
+def test_first_in_rank_is_the_first_allowed_column_in_lexsort_order():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        scores = _rank_test_scores(rng)
+        n, c = scores.shape
+        order = _lexsort_rows(scores)
+        assert np.array_equal(metrics._first_in_rank(scores), order[:, 0])
+        allowed = rng.random((n, c)) < 0.3
+        allowed[np.arange(n), rng.integers(0, c, size=n)] = True
+        ref = [row[allowed[i, row]][0] for i, row in enumerate(order)]
+        assert np.array_equal(metrics._first_in_rank(scores, allowed), ref)
 
 
 @settings(max_examples=60, deadline=None)

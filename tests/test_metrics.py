@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcl import verify
-from hcl.metrics import EvalReport, evaluate, hier_dist, hit_at_1, mrr, rank_classes
+from hcl.metrics import EvalReport, evaluate, hier_dist, hit_at_1, mrr
 from hcl.taxonomy import parse_hierarchy
 
 
@@ -25,16 +25,27 @@ def labels_for(tax, rows):
 # ---------------------------------------------------------------------------
 
 
+def ranks(scores):
+    """Each class's 1-based rank in one row of scores over a flat taxonomy,
+    read as evaluate's first-positive rank with that class the only positive."""
+    c = len(scores)
+    tax = parse_hierarchy([f"k{j}" for j in range(c)])
+    y = -np.ones((c, c))
+    np.fill_diagonal(y, 1.0)
+    rows = evaluate(y, np.tile(scores, (c, 1)), tax, per_example=True).per_example
+    return [first for _, first, _ in rows]
+
+
 def test_rank_descending_scores():
-    assert rank_classes(np.array([0.1, 0.9, 0.5])).tolist() == [1, 2, 0]
+    assert ranks(np.array([0.1, 0.9, 0.5])) == [3, 1, 2]
 
 
 def test_rank_ties_broken_by_class_id():
-    assert rank_classes(np.array([0.4, 0.4, 0.4])).tolist() == [0, 1, 2]
+    assert ranks(np.array([0.4, 0.4, 0.4])) == [1, 2, 3]
 
 
 def test_rank_single_class():
-    assert rank_classes(np.array([0.3])).tolist() == [0]
+    assert ranks(np.array([0.3])) == [1]
 
 
 # ---------------------------------------------------------------------------
