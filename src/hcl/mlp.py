@@ -8,6 +8,19 @@ selection vector once per epoch from a full eval-mode pass over the train
 split; the same pass provides the logged training loss, a per-example mean
 of the spec's (transformed) base loss, or of the curriculum objective when
 the spec has the curriculum.
+
+A forward pass allocates only ``hidden``, ``scores`` (plus the scaled mask
+under dropout) and small per-block scratch, and gives the same bits as
+evaluating ``sigmoid(relu(x @ W1 + b1) * mask_scale @ W2 + b2)`` one
+expression at a time. Each matmul runs whole, because splitting it into
+row blocks can change its bits. The bias add, ReLU and dropout scale
+then overwrite the matmul's output in that order: the same elementwise
+operation on the same operands, only written in place. The sigmoid
+overwrites the logits one row block at a time (see ``_sigmoid``).
+``backward`` masks the ReLU with ``hidden > 0``: with a binary mask and
+``s = 1/(1-rate) >= 1``, a kept unit's ``max(z1, 0) * s`` is positive
+exactly when ``z1 > 0``, and a dropped unit's upstream ``dhidden * 0`` is
+a signed zero (or NaN) that both masks leave as it is.
 """
 
 from __future__ import annotations
@@ -99,42 +112,66 @@ def init_params(n_features: int, hidden_width: int, n_classes: int, seed: int) -
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic sigmoid written into ``z`` (a float64 array), which it returns.
+
+    Row blocks of ``losses._BLOCK_ROWS`` keep the scratch small. Per block:
+    ``e = exp(-|z|)`` (abs, negate, exp into the scratch), ``num =
+    where(z >= 0, 1, e)``, ``e += 1``, then ``z = num / e``. ``-|z|`` is
+    ``-z`` when z >= 0 and ``z`` otherwise, so each branch runs the same
+    operations on the same values as the stable two-branch form,
+    ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` below
+    (``e + 1`` equals ``1 + e``), and gives the same bits; ``exp`` never
+    overflows. NaN takes the z < 0 branch and stays NaN, though its sign
+    bit may differ from the two-branch form's.
+    """
+    e_buf = np.empty_like(z[:losses._BLOCK_ROWS])
+    for start in range(0, len(z), losses._BLOCK_ROWS):
+        zb = z[start:start + losses._BLOCK_ROWS]
+        e = e_buf[:len(zb)]
+        np.abs(zb, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        num = np.where(zb >= 0, 1.0, e)
+        np.add(e, 1.0, out=e)
+        np.divide(num, e, out=zb)
+    return z
 
 
 @dataclass
 class ForwardCache:
     params: MlpParams = field(repr=False)
     x: np.ndarray = field(repr=False)
-    z1: np.ndarray = field(repr=False)
     hidden: np.ndarray = field(repr=False)  # post-relu, post-dropout
     mask_scale: np.ndarray | None = field(repr=False)
     scores: np.ndarray = field(repr=False)
 
 
 def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
-    """Eval-mode unless a dropout mask is given (inverted scaling 1/(1-rate))."""
+    """Eval-mode unless a 0/1 dropout mask is given (inverted scaling 1/(1-rate))."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.W1.shape[0]:
         raise ValueError(
             f"feature width {x.shape[-1] if x.ndim == 2 else '?'} does not match "
             f"D={params.W1.shape[0]}"
         )
-    z1 = x @ params.W1 + params.b1
-    hidden = np.maximum(z1, 0.0)
     mask_scale = None
     if dropout_mask is not None:
-        if dropout_mask.shape != hidden.shape:
+        if dropout_mask.shape != (x.shape[0], params.W1.shape[1]):
             raise ValueError("dropout mask shape does not match hidden activations")
+        if ((dropout_mask != 0) & (dropout_mask != 1)).any():
+            raise ValueError("dropout mask entries must be 0 or 1")
+        if not 0.0 <= dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         mask_scale = dropout_mask / (1.0 - dropout_rate)
-        hidden = hidden * mask_scale
-    scores = _sigmoid(hidden @ params.W2 + params.b2)
-    cache = ForwardCache(params=params, x=x, z1=z1, hidden=hidden,
+    hidden = x @ params.W1
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    if mask_scale is not None:
+        hidden *= mask_scale
+    scores = hidden @ params.W2
+    scores += params.b2
+    _sigmoid(scores)
+    cache = ForwardCache(params=params, x=x, hidden=hidden,
                          mask_scale=mask_scale, scores=scores)
     return scores, cache
 
@@ -151,10 +188,10 @@ def backward(params: MlpParams, cache: ForwardCache, dscores) -> MlpParams:
     db2 = dz2.sum(axis=0)
     dhidden = dz2 @ params.W2.T
     if cache.mask_scale is not None:
-        dhidden = dhidden * cache.mask_scale
-    dz1 = dhidden * (cache.z1 > 0)
-    dW1 = cache.x.T @ dz1
-    db1 = dz1.sum(axis=0)
+        dhidden *= cache.mask_scale
+    dhidden *= cache.hidden > 0  # dz1, see the module docstring
+    dW1 = cache.x.T @ dhidden
+    db1 = dhidden.sum(axis=0)
     return MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2)
 
 

@@ -2,7 +2,9 @@
 
 The references below are the per-class ancestors-only loop, an independent
 per-class all-shallower scan, the ``np.add.at`` scatter, the allocating
-Adam step, the per-mode dispatch of the training loss that the loss
+Adam step, the masked gather/scatter sigmoid and the allocating MLP
+forward and backward passes (whose cache kept the pre-ReLU ``z1``), the
+per-mode dispatch of the training loss that the loss
 specs in ``curriculum`` replaced, the parent-walking tree queries that the
 ``Taxonomy.path_ids`` table replaced, the per-example ranking and LCA loops
 of ``metrics.evaluate``, and the per-class loops of label closure and of the
@@ -267,6 +269,98 @@ def test_optimizer_step_matches_allocating_reference(optimizer, chunk, monkeypat
     if optimizer == "adam":
         for fast, slow in zip(opt.m + opt.v, state["m"] + state["v"]):
             assert np.array_equal(fast, slow)
+
+
+# ---------------------------------------------------------------------------
+# MLP forward and backward
+# ---------------------------------------------------------------------------
+
+
+def slow_sigmoid(z):
+    """The masked gather/scatter sigmoid."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def slow_mlp_forward(params, x, dropout_mask=None, dropout_rate=0.0):
+    """The allocating forward pass; its cache keeps the pre-ReLU ``z1``."""
+    z1 = x @ params.W1 + params.b1
+    hidden = np.maximum(z1, 0.0)
+    mask_scale = None
+    if dropout_mask is not None:
+        mask_scale = dropout_mask / (1.0 - dropout_rate)
+        hidden = hidden * mask_scale
+    scores = slow_sigmoid(hidden @ params.W2 + params.b2)
+    return scores, dict(x=x, z1=z1, hidden=hidden, mask_scale=mask_scale, scores=scores)
+
+
+def slow_mlp_backward(params, cache, dscores):
+    """The allocating backward pass, masking the ReLU with ``z1 > 0``."""
+    dz2 = dscores * cache["scores"] * (1.0 - cache["scores"])
+    dW2 = cache["hidden"].T @ dz2
+    db2 = dz2.sum(axis=0)
+    dhidden = dz2 @ params.W2.T
+    if cache["mask_scale"] is not None:
+        dhidden = dhidden * cache["mask_scale"]
+    dz1 = dhidden * (cache["z1"] > 0)
+    return mlp.MlpParams(W1=cache["x"].T @ dz1, b1=dz1.sum(axis=0), W2=dW2, b2=db2)
+
+
+def _same_bits(a, b):
+    """Equal bit patterns: tells -0.0 from 0.0, unlike ``np.array_equal``."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("rate", (None, 0.25, 0.5))  # None: eval mode
+@pytest.mark.parametrize("n", ROW_COUNTS)
+@pytest.mark.parametrize("n_classes", (12, 584))  # desk and wide output widths
+def test_mlp_forward_and_backward_match_allocating_reference(n_classes, n, rate):
+    rng = np.random.default_rng(n_classes + n)
+    params = mlp.init_params(16, 800, n_classes, seed=n)
+    params.b1[:] = rng.normal(scale=0.5, size=800)
+    params.b1[:8] = (0.0, -0.0) * 4  # exact zeros reach the ReLU from zero rows
+    params.b2[:] = rng.normal(scale=4.0, size=n_classes)  # logits of both signs, some large
+    x = rng.normal(scale=2.0, size=(n, 16))
+    x[::7] = 0.0
+    mask = None if rate is None else (rng.random((n, 800)) >= rate).astype(np.float64)
+    kw = {} if rate is None else dict(dropout_mask=mask, dropout_rate=rate)
+
+    scores, cache = mlp.forward(params, x, **kw)
+    ref_scores, ref_cache = slow_mlp_forward(params, x, **kw)
+    assert _same_bits(scores, ref_scores)
+    assert _same_bits(cache.hidden, ref_cache["hidden"])
+    upstreams = (
+        rng.normal(size=(n, n_classes)),  # mixed signs
+        -rng.uniform(0.1, 3.0, (n, n_classes)),  # dropped units give -0.0
+        np.zeros((n, n_classes)),
+    )
+    for dscores in upstreams:
+        grads = mlp.backward(params, cache, dscores)
+        ref = slow_mlp_backward(params, ref_cache, dscores)
+        for fast, slow in zip(grads.arrays(), ref.arrays()):
+            assert _same_bits(fast, slow)
+
+
+def test_sigmoid_matches_masked_reference_on_edge_logits():
+    rng = np.random.default_rng(3)
+    edges = np.array([np.inf, -np.inf, 0.0, -0.0, 745.0, -745.0, 800.0, -800.0,
+                      -709.0, -720.0, -740.0, -744.5, np.nan, -np.nan])  # -7xx: subnormal
+    z = rng.normal(scale=20.0, size=(2 * BLOCK + BLOCK // 3, 7))
+    flat = z.reshape(-1)
+    flat[rng.choice(flat.size, size=200, replace=False)] = np.resize(edges, 200)
+    fast = mlp._sigmoid(z.copy())
+    slow = slow_sigmoid(z)
+    assert np.any((slow > 0) & (slow < np.finfo(np.float64).tiny))  # subnormal results occur
+    nan = np.isnan(slow)
+    assert np.array_equal(fast, slow, equal_nan=True)
+    assert _same_bits(fast[~nan], slow[~nan])
+    buf = z.copy()
+    assert mlp._sigmoid(buf) is buf  # written into the logits
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,41 @@ def test_forward_rejects_bad_mask_shape(rng):
         forward(p, rng.normal(size=(3, 4)), dropout_mask=np.ones((3, 5)), dropout_rate=0.5)
 
 
+@pytest.mark.parametrize("bad", (0.5, -1.0, 2.0, np.nan))
+def test_forward_rejects_non_binary_mask(rng, bad):
+    p = init_params(4, 6, 2, seed=1)
+    mask = np.ones((3, 6))
+    mask[2, 5] = bad
+    with pytest.raises(ValueError, match="0 or 1"):
+        forward(p, rng.normal(size=(3, 4)), dropout_mask=mask, dropout_rate=0.5)
+    bool_mask = mask == 1  # True/False is 1/0
+    forward(p, rng.normal(size=(3, 4)), dropout_mask=bool_mask, dropout_rate=0.5)
+
+
+@pytest.mark.parametrize("rate", (-0.5, 1.0, 1.5))
+def test_forward_rejects_dropout_rate_outside_unit_interval(rng, rate):
+    p = init_params(4, 6, 2, seed=1)
+    with pytest.raises(ValueError, match="dropout_rate"):
+        forward(p, rng.normal(size=(3, 4)), dropout_mask=np.ones((3, 6)), dropout_rate=rate)
+
+
+def test_forward_leaves_its_inputs_untouched_and_returns_fresh_scores(rng):
+    p = init_params(4, 6, 2, seed=1)
+    p.b1[:] = rng.normal(size=6)
+    p.b2[:] = rng.normal(size=2)
+    x = rng.normal(size=(70, 4))
+    assert np.asarray(x, dtype=np.float64) is x  # forward works on x itself, not a copy
+    mask = (rng.random((70, 6)) >= 0.5).astype(np.float64)
+    before = [a.copy() for a in (x, mask, *p.arrays())]
+    s1, c1 = forward(p, x)
+    s2, c2 = forward(p, x, dropout_mask=mask, dropout_rate=0.5)
+    s3, _ = forward(p, x)
+    assert all(np.array_equal(a, b) for a, b in zip((x, mask, *p.arrays()), before))
+    assert s1 is not s3 and not np.shares_memory(s1, s3)
+    assert np.array_equal(s1, s3)
+    assert not np.shares_memory(c1.hidden, c2.hidden)
+
+
 def test_dropout_mask_expectation_matches_eval_activation():
     rng = np.random.default_rng(123)
     p = init_params(6, 32, 2, seed=3)
@@ -133,7 +168,7 @@ def test_backward_scalar_network_hand_fixture():
     assert scores[0, 0] == pytest.approx(0.39532091528599067, abs=1e-15)
     g = backward(p, cache, np.array([[1.0]]))
     # chain rule by hand: dz2 = score*(1-score); dW2 = hidden*dz2; db2 = dz2;
-    # dhidden = W2*dz2; dz1 = dhidden (z1>0); dW1 = x*dz1; db1 = dz1
+    # dhidden = W2*dz2; dz1 = dhidden (hidden>0); dW1 = x*dz1; db1 = dz1
     assert g.b2[0] == pytest.approx(0.23904228922343726, abs=1e-15)
     assert g.W2[0, 0] == pytest.approx(0.17928171691757794, abs=1e-15)
     assert g.W1[0, 0] == pytest.approx(-0.16732960245640607, abs=1e-15)
