@@ -15,6 +15,17 @@ hierarchy transform on or off, and the curriculum on or off. The loss modes
 are named presets of it (``LOSS_PRESETS``). ``hcl_loss`` runs a spec's
 epoch-end pass, which yields the selection vector, and ``hcl_grad`` the
 gradient of a batch under a fixed selection.
+
+The epoch-end pass computes only what selection reads: the column sums L
+of the (transformed) base loss and the scalar e_total. It transforms values
+in place without routing (``losses.hier_transform_in_place``), and it
+counts the (transformed) bool 0-1 surface of ``losses.zero_one_errors``
+rather than summing a float one. Both give the same bits as ``hier_transform`` followed
+by ``aggregate_class_losses``, the reference that ``verify`` uses: the
+values are those of ``hier_transform``, and a count of at most 2^53 errors
+converts to the float sum of zeros and ones exactly. The batch path clamps
+the scores once and feeds that clamp to both the base gradient and the base
+loss that the transform routes by.
 """
 
 from __future__ import annotations
@@ -94,6 +105,17 @@ def brute_force_select(agg: ClassLossAggregate, n_classes: int):
     return best_s, best_key[0]
 
 
+def check_selection_rule(rule: str, thresh: float | None) -> None:
+    """Reject an unknown rule, and fixed-threshold without a threshold."""
+    if rule not in (RULE_OPTIMAL_PREFIX, RULE_FIXED_THRESHOLD):
+        raise ValueError(f"unknown selection rule {rule!r}")
+    if rule == RULE_FIXED_THRESHOLD and thresh is None:
+        raise ValueError(
+            "fixed-threshold rule needs an explicit thresh; pass thresh= "
+            "or use the optimal-prefix rule"
+        )
+
+
 def select_classes(
     agg: ClassLossAggregate,
     n_classes: int,
@@ -112,6 +134,7 @@ def select_classes(
     """
     if len(agg.L) != n_classes:
         raise ValueError("aggregate length does not match C")
+    check_selection_rule(rule, thresh)
     L = np.asarray(agg.L, dtype=np.float64)
     e_total = agg.e_h_total
     order = np.argsort(L, kind="stable")
@@ -124,23 +147,15 @@ def select_classes(
         k_best = n_classes - int(np.argmin(obj[::-1]))  # largest minimizer
         s[order[:k_best]] = 1.0
         return s
-    if rule == RULE_FIXED_THRESHOLD:
-        if thresh is None:
-            raise ValueError(
-                "fixed-threshold rule needs an explicit thresh; pass thresh= "
-                "or use the optimal-prefix rule"
-            )
-        psum = np.cumsum(L[order])
-        k_cross = None
-        for k in range(1, n_classes + 1):
-            if psum[k - 1] > thresh + 1 - k:
-                k_cross = k
-                break
-        if k_cross is None:
-            k_cross = n_classes + 1  # condition never trips: keep everything
-        s[order[: k_cross - 1]] = 1.0
-        return s
-    raise ValueError(f"unknown selection rule {rule!r}")
+    # fixed-threshold
+    psum = np.cumsum(L[order])
+    k_cross = n_classes + 1  # if the condition never trips: keep everything
+    for k in range(1, n_classes + 1):
+        if psum[k - 1] > thresh + 1 - k:
+            k_cross = k
+            break
+    s[order[: k_cross - 1]] = 1.0
+    return s
 
 
 BASE_LOSSES = ("bce", "focal")
@@ -204,13 +219,17 @@ def hcl_loss(
     loss_fn, _ = _base_fns(spec, gamma)
     surface = loss_fn(y, scores)
     if spec.transform:
-        surface, _ = losses.hier_transform(surface, taxonomy, scope=scope)
+        losses.hier_transform_in_place(surface, taxonomy, scope)
     if not spec.curriculum:
         return float(surface.sum()), np.ones(taxonomy.n_classes)
-    e01 = losses.zero_one_loss(y, scores, decision_threshold=decision_threshold)
+    errors = losses.zero_one_errors(y, scores, decision_threshold=decision_threshold)
     if spec.transform:
-        e01, _ = losses.hier_transform(e01, taxonomy, scope=scope)
-    agg = aggregate_class_losses(surface, e01)
+        losses.hier_transform_in_place(errors, taxonomy, scope)
+    agg = ClassLossAggregate(
+        L=surface.sum(axis=0),
+        e_h_total=float(np.count_nonzero(errors)),
+        n_examples=surface.shape[0],
+    )
     s = select_classes(agg, taxonomy.n_classes, rule=rule, thresh=thresh)
     return curriculum_objective(s, agg, taxonomy.n_classes), s
 
@@ -232,9 +251,10 @@ def hcl_grad(
     """
     s = np.asarray(s, dtype=np.float64)
     loss_fn, grad_fn = _base_fns(spec, gamma)
-    base_grad = grad_fn(y, scores)
+    sc = losses.clamp_scores(scores)
+    base_grad = grad_fn(y, sc, clamped=True)
     if not spec.transform:
         return s[None, :] * base_grad
-    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=scope)
+    _, routing = losses.hier_transform(loss_fn(y, sc, clamped=True), taxonomy, scope=scope)
     weights = losses.hier_transform_backward(routing, np.broadcast_to(s, routing.shape))
     return weights * base_grad

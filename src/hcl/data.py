@@ -227,8 +227,8 @@ def split(d: Dataset, ratios=SPLIT_RATIOS, seed: int = 0) -> Dataset:
     group is the example's first positive top-level class.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios}")
+    if len(ratios) != 3 or not all(0 < r < np.inf for r in ratios):
+        raise ValueError(f"need three positive finite ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got sum {sum(ratios)}")
     n = d.n_examples

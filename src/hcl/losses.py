@@ -8,6 +8,25 @@ of the same example at a strictly shallower level (default scope), which
 forces per-example losses to be non-decreasing in depth while staying an
 element-wise lower bound among all loss surfaces with that property. An
 ``ancestors-only`` scope restricts the max to the class's own root path.
+
+The epoch-end selection pass reads only column sums of the transformed base
+loss and a count of transformed 0-1 errors, so it has fast paths that keep
+the bits of the general ones:
+
+- ``hier_transform_in_place`` is ``hier_transform`` without the routing,
+  written over its input. Both run the same per-scope sweep, which writes
+  the transformed value with one shared line and computes the routing only
+  when asked for it.
+- ``zero_one_errors`` is the 0-1 loss as a bool surface. ``np.maximum`` on
+  bool is OR, so the sweep transforms it as it does the float surface, and
+  counting its True entries gives the float sum of the transformed
+  ``zero_one_loss`` exactly: a sum of at most 2^53 zeros and ones has no
+  rounding, whatever its order.
+- ``bce_loss`` and ``bce_grad`` evaluate each label's branch only on that
+  label's elements (``where=`` masks into one output). Every element gets
+  the same operations on the same value as in the two-branch ``np.where``
+  form, so the same bits, and a caller that needs both the loss and its
+  gradient clamps the scores once (``clamp_scores``, then ``clamped=True``).
 """
 
 from __future__ import annotations
@@ -37,51 +56,96 @@ def _check_pair(y, s):
     return y, s
 
 
-def zero_one_loss(y, s, decision_threshold: float = 0.5) -> np.ndarray:
-    """0-1 surface: 1 where the thresholded score disagrees with the label.
-
-    A score exactly at the threshold predicts -1.
-    """
+def check_decision_threshold(decision_threshold: float) -> None:
     if not 0.0 < decision_threshold < 1.0:
         raise ValueError(f"decision_threshold must lie in (0,1), got {decision_threshold}")
+
+
+def check_gamma(gamma: float) -> None:
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+
+
+def zero_one_errors(y, s, decision_threshold: float = 0.5) -> np.ndarray:
+    """Bool 0-1 surface: True where the thresholded score disagrees with the label.
+
+    A score exactly at the threshold (or NaN) predicts -1. A label that is
+    neither positive nor negative (0 or NaN) is an error whatever the score.
+    """
+    check_decision_threshold(decision_threshold)
     y, s = _check_pair(y, s)
-    pred = np.where(s > decision_threshold, 1.0, -1.0)
-    return (pred != np.sign(y)).astype(np.float64)
+    pred = s > decision_threshold
+    # a hit predicts +1 on a positive label or -1 on a negative one
+    hit = pred & (y > 0)
+    hit |= ~pred & (y < 0)
+    return np.logical_not(hit, out=hit)
 
 
-def bce_loss(y, s) -> np.ndarray:
-    """Binary cross entropy per element, scores clamped to [eps, 1-eps]."""
+def zero_one_loss(y, s, decision_threshold: float = 0.5) -> np.ndarray:
+    """0-1 surface: 1.0 where ``zero_one_errors`` is True, else 0.0."""
+    return zero_one_errors(y, s, decision_threshold).astype(np.float64)
+
+
+def clamp_scores(s) -> np.ndarray:
+    """Scores clamped to [eps, 1-eps], the values every log loss reads."""
+    return np.clip(np.asarray(s, dtype=np.float64), LOG_EPS, 1.0 - LOG_EPS)
+
+
+def _clamped_pair(y, s, clamped: bool):
+    """Labels, clamped scores and an output buffer. The buffer is the
+    clamped scores themselves when they were clamped here, as the branch
+    ops below only ever read an element before writing it."""
     y, s = _check_pair(y, s)
-    sc = np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
-    return np.where(y > 0, -np.log(sc), -np.log1p(-sc))
+    if clamped:
+        return y, s, np.empty_like(s)
+    sc = clamp_scores(s)
+    return y, sc, sc
 
 
-def bce_grad(y, s) -> np.ndarray:
-    """d(bce)/d(score) per element, evaluated on the clamped score."""
-    y, s = _check_pair(y, s)
-    sc = np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
-    return np.where(y > 0, -1.0 / sc, 1.0 / (1.0 - sc))
+def bce_loss(y, s, *, clamped: bool = False) -> np.ndarray:
+    """Binary cross entropy per element, scores clamped to [eps, 1-eps].
+
+    ``-log(sc)`` where y > 0, ``-log1p(-sc)`` elsewhere, each evaluated only
+    on its own elements. ``clamped=True`` reads ``s`` as already clamped by
+    ``clamp_scores``.
+    """
+    y, sc, out = _clamped_pair(y, s, clamped)
+    pos = y > 0
+    neg = ~pos
+    np.log(sc, out=out, where=pos)
+    np.negative(sc, out=out, where=neg)
+    np.log1p(out, out=out, where=neg)
+    return np.negative(out, out=out)
 
 
-def focal_loss(y, s, gamma: float = 2.0) -> np.ndarray:
+def bce_grad(y, s, *, clamped: bool = False) -> np.ndarray:
+    """d(bce)/d(score) per element, evaluated on the clamped score:
+    ``-1 / sc`` where y > 0, ``1 / (1 - sc)`` elsewhere, each evaluated only
+    on its own elements."""
+    y, sc, out = _clamped_pair(y, s, clamped)
+    pos = y > 0
+    neg = ~pos
+    np.subtract(1.0, sc, out=out, where=neg)
+    np.divide(1.0, out, out=out, where=neg)
+    np.divide(-1.0, sc, out=out, where=pos)
+    return out
+
+
+def focal_loss(y, s, gamma: float = 2.0, *, clamped: bool = False) -> np.ndarray:
     """Focal surface (1-p_t)^gamma * (-ln p_t), p_t the true-class score.
 
     gamma=0 reduces exactly to bce_loss.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    y, s = _check_pair(y, s)
-    sc = np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
+    check_gamma(gamma)
+    y, sc, _ = _clamped_pair(y, s, clamped)
     pt = np.where(y > 0, sc, 1.0 - sc)
     return (1.0 - pt) ** gamma * -np.log(pt)
 
 
-def focal_grad(y, s, gamma: float = 2.0) -> np.ndarray:
+def focal_grad(y, s, gamma: float = 2.0, *, clamped: bool = False) -> np.ndarray:
     """d(focal)/d(score) per element."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    y, s = _check_pair(y, s)
-    sc = np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
+    check_gamma(gamma)
+    y, sc, _ = _clamped_pair(y, s, clamped)
     pt = np.where(y > 0, sc, 1.0 - sc)
     # d/dp [(1-p)^g * (-ln p)] = g (1-p)^(g-1) ln p - (1-p)^g / p
     if gamma == 0.0:
@@ -89,6 +153,24 @@ def focal_grad(y, s, gamma: float = 2.0) -> np.ndarray:
     else:
         dpt = gamma * (1.0 - pt) ** (gamma - 1.0) * np.log(pt) - (1.0 - pt) ** gamma / pt
     return np.where(y > 0, dpt, -dpt)
+
+
+def _check_surface(base, taxonomy: Taxonomy, scope: str) -> None:
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}, expected one of {SCOPES}")
+    if base.ndim != 2 or base.shape[1] != taxonomy.n_classes:
+        raise ValueError(
+            f"loss surface has {base.shape[-1] if base.ndim else 0} columns, "
+            f"taxonomy has {taxonomy.n_classes} classes"
+        )
+
+
+def _sweep(base, taxonomy: Taxonomy, scope: str, out, routing=None) -> None:
+    """Run the scope's sweep over blocks of ``_BLOCK_ROWS`` rows."""
+    sweep = _all_shallower_sweep if scope == SCOPE_ALL_SHALLOWER else _ancestors_sweep
+    for start in range(0, base.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        sweep(base[rows], taxonomy, out[rows], None if routing is None else routing[rows])
 
 
 def hier_transform(base, taxonomy: Taxonomy, scope: str = SCOPE_ALL_SHALLOWER):
@@ -110,68 +192,79 @@ def hier_transform(base, taxonomy: Taxonomy, scope: str = SCOPE_ALL_SHALLOWER):
     maximizing id: parents sit one level up, so both are final by then, and
     the running max of a class's chain is its transformed value.
     """
-    if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}, expected one of {SCOPES}")
     base = np.asarray(base, dtype=np.float64)
-    if base.ndim != 2 or base.shape[1] != taxonomy.n_classes:
-        raise ValueError(
-            f"loss surface has {base.shape[-1] if base.ndim else 0} columns, "
-            f"taxonomy has {taxonomy.n_classes} classes"
-        )
+    _check_surface(base, taxonomy, scope)
     out = np.empty_like(base)
     routing = np.empty(base.shape, dtype=np.int64)
-    sweep = _all_shallower_sweep if scope == SCOPE_ALL_SHALLOWER else _ancestors_sweep
-    for start in range(0, base.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        sweep(base[rows], taxonomy, out[rows], routing[rows])
+    _sweep(base, taxonomy, scope, out, routing)
     return out, routing
 
 
-def _all_shallower_sweep(base, taxonomy: Taxonomy, out, routing):
+def hier_transform_in_place(surface, taxonomy: Taxonomy,
+                            scope: str = SCOPE_ALL_SHALLOWER) -> None:
+    """Overwrite ``surface`` with ``hier_transform(surface, taxonomy,
+    scope)[0]``, bit for bit, without computing the routing.
+
+    ``surface`` is a float64 or a bool array; a bool surface is transformed
+    as its 0/1 float surface would be, since ``np.maximum`` on bool is OR.
+    Writing in place is safe: a sweep reads each column before it writes
+    that column, and reads a shallower column only once it holds its
+    transformed value.
+    """
+    if not isinstance(surface, np.ndarray) or surface.dtype not in (np.float64, np.bool_):
+        raise ValueError("the surface must be a float64 or bool array to transform in place")
+    _check_surface(surface, taxonomy, scope)
+    _sweep(surface, taxonomy, scope, surface)
+
+
+def _all_shallower_sweep(base, taxonomy: Taxonomy, out, routing=None):
     """One row block of the all-shallower transform, written into the
-    ``out`` and ``routing`` views."""
+    ``out`` view, and into ``routing`` unless it is None."""
     n = base.shape[0]
-    run_val = np.full(n, -np.inf)
+    run_val = np.full(n, False if base.dtype == np.bool_ else -np.inf, dtype=base.dtype)
     run_id = np.full(n, -1, dtype=np.int64)
     for ids in taxonomy.levels_index[1:]:
         sub = base[:, ids]
-        out[:, ids] = np.maximum(sub, run_val[:, None])
-        # j wins unless strictly below: a NaN on either side routes to j
-        routing[:, ids] = np.where(sub < run_val[:, None], run_id[:, None], ids[None, :])
-        # fold this level into the running shallower max; argmax picks the
-        # first (= smallest id, buckets are ascending) and cross-level ties
-        # keep the smaller id
         lev_max = sub.max(axis=1)
-        lev_id = ids[np.argmax(sub, axis=1)]
-        tie = lev_max == run_val
-        run_id = np.where(
-            lev_max > run_val, lev_id, np.where(tie, np.minimum(run_id, lev_id), run_id)
-        )
+        if routing is not None:
+            # j wins unless strictly below: a NaN on either side routes to j
+            routing[:, ids] = np.where(sub < run_val[:, None], run_id[:, None], ids[None, :])
+            # fold this level into the running shallower max; argmax picks the
+            # first (= smallest id, buckets are ascending) and cross-level ties
+            # keep the smaller id
+            lev_id = ids[np.argmax(sub, axis=1)]
+            tie = lev_max == run_val
+            run_id = np.where(
+                lev_max > run_val, lev_id, np.where(tie, np.minimum(run_id, lev_id), run_id)
+            )
+        out[:, ids] = np.maximum(sub, run_val[:, None], out=sub)
         run_val = np.maximum(run_val, lev_max)
 
 
-def _ancestors_sweep(base, taxonomy: Taxonomy, out, routing):
+def _ancestors_sweep(base, taxonomy: Taxonomy, out, routing=None):
     """One row block of the ancestors-only transform, written into the
-    ``out`` and ``routing`` views."""
+    ``out`` view, and into ``routing`` unless it is None."""
     roots, *deeper = taxonomy.levels_index[1:]
-    # smallest id among the maximizers of each class's root-path chain
-    chain_min = np.empty(base.shape, dtype=np.int64)
     out[:, roots] = base[:, roots]
-    routing[:, roots] = roots
-    chain_min[:, roots] = roots
+    if routing is not None:
+        # smallest id among the maximizers of each class's root-path chain
+        chain_min = np.empty(base.shape, dtype=np.int64)
+        routing[:, roots] = roots
+        chain_min[:, roots] = roots
     for ids in deeper:
         parents = taxonomy.parent_ids[ids]
         col = base[:, ids]
         anc_val = out[:, parents]
-        anc_min = chain_min[:, parents]
-        # ids follow path order, so every ancestor id is below ids: a tie
-        # keeps anc_min as the chain's smallest maximizer. Selecting with
-        # mask * step is exact and faster than np.where.
-        step = ids - anc_min
-        out[:, ids] = np.maximum(col, anc_val)
-        # j wins unless strictly below: a NaN on either side routes to j
-        routing[:, ids] = ids - (col < anc_val) * step
-        chain_min[:, ids] = anc_min + (col > anc_val) * step
+        if routing is not None:
+            anc_min = chain_min[:, parents]
+            # ids follow path order, so every ancestor id is below ids: a tie
+            # keeps anc_min as the chain's smallest maximizer. Selecting with
+            # mask * step is exact and faster than np.where.
+            step = ids - anc_min
+            # j wins unless strictly below: a NaN on either side routes to j
+            routing[:, ids] = ids - (col < anc_val) * step
+            chain_min[:, ids] = anc_min + (col > anc_val) * step
+        out[:, ids] = np.maximum(col, anc_val, out=col)
 
 
 def hier_transform_backward(routing, upstream) -> np.ndarray:

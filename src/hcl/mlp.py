@@ -64,8 +64,8 @@ class TrainConfig:
             raise ValueError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.optimizer not in ("sgd", "adam"):
@@ -74,6 +74,10 @@ class TrainConfig:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}, expected one of {LOSS_MODES}")
         if self.transform_scope not in losses.SCOPES:
             raise ValueError(f"unknown transform_scope {self.transform_scope!r}")
+        # checked by the loss and the selection too, but only at an epoch's end
+        losses.check_decision_threshold(self.decision_threshold)
+        losses.check_gamma(self.focal_gamma)
+        curriculum.check_selection_rule(self.selection_rule, self.selection_thresh)
 
 
 @dataclass
@@ -158,7 +162,7 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
     if dropout_mask is not None:
         if dropout_mask.shape != (x.shape[0], params.W1.shape[1]):
             raise ValueError("dropout mask shape does not match hidden activations")
-        if ((dropout_mask != 0) & (dropout_mask != 1)).any():
+        if dropout_mask.dtype != np.bool_ and ((dropout_mask != 0) & (dropout_mask != 1)).any():
             raise ValueError("dropout mask entries must be 0 or 1")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
@@ -289,6 +293,13 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     # the selection from a full clean forward pass for the next epoch.
     s = np.ones(taxonomy.n_classes)
 
+    # Dropout draws and masks go into per-run buffers; a short last batch
+    # uses their leading rows. rng.random(out=) fills a C-contiguous block
+    # with the same draws, in the same order, as rng.random(shape).
+    if cfg.dropout_rate > 0:
+        shape = (min(cfg.batch_size, len(idx_train)), cfg.hidden_width)
+        draws, keep = np.empty(shape), np.empty(shape, dtype=bool)
+
     log: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(idx_train))
@@ -297,8 +308,9 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
             xb, yb = x_tr[batch], y_tr[batch]
             mask = None
             if cfg.dropout_rate > 0:
-                mask = (rng.random((len(batch), cfg.hidden_width))
-                        >= cfg.dropout_rate).astype(np.float64)
+                rng.random(out=draws[:len(batch)])
+                mask = np.greater_equal(draws[:len(batch)], cfg.dropout_rate,
+                                        out=keep[:len(batch)])
             scores, cache = forward(params, xb, mask, cfg.dropout_rate)
             dscores = curriculum.hcl_grad(
                 yb, scores, s, taxonomy, spec, cfg.focal_gamma, cfg.transform_scope

@@ -292,6 +292,29 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     assert "attribute line needs a name and a type: '@attribute'" in err
 
 
+@pytest.mark.parametrize("override, message", [
+    ("decision_threshold=1.5", "decision_threshold must lie in (0,1), got 1.5"),
+    ("selection_rule=best-k", "unknown selection rule 'best-k'"),
+    ("selection_rule=fixed-threshold", "fixed-threshold rule needs an explicit thresh"),
+    ("focal_gamma=-1", "gamma must be >= 0, got -1.0"),
+    ("lr=nan", "learning_rate must be finite and >= 0, got nan"),
+    ("split_ratios=nan,0.2,0.2", "need three positive finite ratios"),
+])
+def test_bad_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
+                                                  override, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(mlp, "train", no_training)
+    out = tmp_path / "r"
+    rc = _train(out, ["--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_missing_dataset_path_is_reported(tmp_path, capsys):
     missing = tmp_path / "nowhere.arff"
     rc = cli.main([

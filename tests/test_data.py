@@ -226,6 +226,16 @@ def test_split_rejects_bad_ratios():
         split(ten_example_dataset(), ratios=(0.6, 0.2, 0.1))
 
 
+@pytest.mark.parametrize("ratios", [
+    (float("nan"), 0.2, 0.2),
+    (0.6, 0.2, float("inf")),
+    (0.6, float("-inf"), 0.2),
+])
+def test_split_rejects_non_finite_ratios(ratios):
+    with pytest.raises(ValueError, match="need three positive finite ratios"):
+        split(ten_example_dataset(), ratios=ratios)
+
+
 def test_split_rejects_empty_bucket():
     d = synth_generate(
         SynthConfig(levels=2, branching=2, examples_per_leaf=1, feature_dim=4, seed=3)

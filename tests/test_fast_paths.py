@@ -5,12 +5,17 @@ per-class all-shallower scan, the ``np.add.at`` scatter, the allocating
 Adam step, the masked gather/scatter sigmoid and the allocating MLP
 forward and backward passes (whose cache kept the pre-ReLU ``z1``), the
 per-mode dispatch of the training loss that the loss
-specs in ``curriculum`` replaced, the parent-walking tree queries that the
-``Taxonomy.path_ids`` table replaced, the per-example ranking and LCA loops
-of ``metrics.evaluate``, and the per-class loops of label closure and of the
-native label writer. The fast paths keep their arithmetic, so every
-comparison is bitwise (``np.array_equal``), not within a tolerance.
+specs in ``curriculum`` replaced, the two-branch ``np.where`` bce loss and
+gradient, the float 0-1 surface that the epoch-end pass summed, the
+training loop that allocated each dropout mask afresh, the parent-walking
+tree queries that the ``Taxonomy.path_ids`` table replaced, the per-example
+ranking and LCA loops of ``metrics.evaluate``, and the per-class loops of
+label closure and of the native label writer. The fast paths keep their
+arithmetic, so every comparison is bitwise (``np.array_equal``), not within
+a tolerance.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -370,10 +375,14 @@ def test_sigmoid_matches_masked_reference_on_edge_logits():
 
 def _random_scores(rng, shape):
     """Sigmoid outputs, some drawn from a small grid so that losses tie,
-    scores sit on the decision threshold and saturate past the clamp."""
+    scores sit on the decision threshold, saturate past the clamp or are
+    NaN."""
     if rng.random() < 0.5:
         return rng.uniform(0.0, 1.0, size=shape)
-    return rng.choice([0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0], size=shape)
+    grid = [0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0]
+    if rng.random() < 0.5:
+        grid.append(np.nan)
+    return rng.choice(grid, size=shape)
 
 
 def _random_train_config(rng, mode, scope):
@@ -409,13 +418,13 @@ def test_loss_core_matches_retired_per_mode_dispatch(mode, scope):
             rule=cfg.selection_rule, thresh=cfg.selection_thresh,
         )
         assert np.array_equal(s, s_ref)
-        assert value / n == loss_ref
+        assert np.array_equal(value / n, loss_ref, equal_nan=True)
 
         # a batch under the epoch's selection, as the training loop forms it
         batch = rng.permutation(n)[:BLOCK]
         yb, sb = y[batch], scores[batch]
         grad = curriculum.hcl_grad(yb, sb, s, tax, spec, cfg.focal_gamma, scope) / len(batch)
-        assert np.array_equal(grad, slow_batch_dscores(sb, yb, s, tax, cfg))
+        assert np.array_equal(grad, slow_batch_dscores(sb, yb, s, tax, cfg), equal_nan=True)
 
 
 def _focal_tie_free_scores(rng, y, margin=1e-3):
@@ -450,6 +459,176 @@ def test_focal_transform_curriculum_gradient_matches_finite_differences(scope):
             analytic = curriculum.hcl_grad(y, scores, s, tax, spec, 2.0, scope)
             fd = verify._fd_grad(objective, scores)
             assert verify.max_rel_err(analytic, fd) < verify.GRAD_RTOL
+
+
+# ---------------------------------------------------------------------------
+# epoch-end selection pass, batch loss and training loop
+# ---------------------------------------------------------------------------
+
+
+def slow_bce_loss(y, s):
+    """The two-branch ``np.where`` bce loss, both branches on every element."""
+    sc = np.clip(np.asarray(s, dtype=np.float64), losses.LOG_EPS, 1.0 - losses.LOG_EPS)
+    return np.where(y > 0, -np.log(sc), -np.log1p(-sc))
+
+
+def slow_bce_grad(y, s):
+    """The two-branch ``np.where`` bce gradient."""
+    sc = np.clip(np.asarray(s, dtype=np.float64), losses.LOG_EPS, 1.0 - losses.LOG_EPS)
+    return np.where(y > 0, -1.0 / sc, 1.0 / (1.0 - sc))
+
+
+def slow_zero_one_loss(y, s, decision_threshold):
+    """The float 0-1 surface: the thresholded prediction against sign(y)."""
+    pred = np.where(np.asarray(s, dtype=np.float64) > decision_threshold, 1.0, -1.0)
+    return (pred != np.sign(y)).astype(np.float64)
+
+
+def slow_train(dataset, taxonomy, cfg):
+    """The training loop that drew each batch's dropout mask into fresh
+    arrays, ``(rng.random((B, H)) >= rate).astype(float64)``."""
+    x_tr, y_tr = (a[dataset.indices("train")] for a in (dataset.features, dataset.labels))
+    x_va, y_va = (a[dataset.indices("valid")] for a in (dataset.features, dataset.labels))
+    spec = curriculum.LOSS_PRESETS[cfg.loss_mode]
+    rng = np.random.default_rng(cfg.seed)
+    params = mlp.init_params(dataset.n_features, cfg.hidden_width, taxonomy.n_classes, cfg.seed)
+    opt = mlp._Optimizer(cfg, params)
+    s = np.ones(taxonomy.n_classes)
+    log = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(y_tr))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            mask = (rng.random((len(batch), cfg.hidden_width))
+                    >= cfg.dropout_rate).astype(np.float64)
+            scores, cache = mlp.forward(params, x_tr[batch], mask, cfg.dropout_rate)
+            dscores = curriculum.hcl_grad(y_tr[batch], scores, s, taxonomy, spec,
+                                          cfg.focal_gamma, cfg.transform_scope) / len(batch)
+            opt.step(params, mlp.backward(params, cache, dscores))
+        value, s = curriculum.hcl_loss(
+            y_tr, mlp.forward(params, x_tr)[0], taxonomy, spec, gamma=cfg.focal_gamma,
+            scope=cfg.transform_scope, decision_threshold=cfg.decision_threshold,
+            rule=cfg.selection_rule, thresh=cfg.selection_thresh,
+        )
+        rep = metrics.evaluate(y_va, mlp.forward(params, x_va)[0], taxonomy)
+        log.append(mlp.EpochLog(epoch, value / len(y_tr), rep.hit_at_1, rep.mrr,
+                                rep.hier_dist, s.copy()))
+    return params, log
+
+
+# 5e-324 and 1e-310 are subnormal
+EDGE_SCORES = (0.0, -0.0, 1.0, losses.LOG_EPS, 1.0 - losses.LOG_EPS, 1e-9, 1.0 - 1e-9,
+               5e-324, 1e-310, 0.5, 2.0, -1.0, np.inf, -np.inf, np.nan, -np.nan)
+
+
+def _edge_scores(rng, shape):
+    """Uniform scores with every edge value planted at random positions."""
+    scores = rng.uniform(0.0, 1.0, size=shape)
+    flat = scores.reshape(-1)
+    k = min(flat.size, 400)
+    flat[rng.choice(flat.size, size=k, replace=False)] = np.resize(EDGE_SCORES, k)
+    return scores
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_bce_loss_and_grad_match_two_branch_where_on_edge_scores(n):
+    rng = np.random.default_rng(40 + n)
+    scores = _edge_scores(rng, (n, 37))
+    assert len(np.unique(scores[~np.isnan(scores)])) >= len(EDGE_SCORES) - 3
+    labels = (
+        rng.choice([-1, 1], size=scores.shape).astype(np.int8),  # as datasets hold them
+        rng.choice([-1.0, 1.0, 0.0, np.nan], size=scores.shape),
+    )
+    for y in labels:
+        clamped = losses.clamp_scores(scores)
+        before = clamped.copy()
+        for fast, slow in ((losses.bce_loss, slow_bce_loss), (losses.bce_grad, slow_bce_grad)):
+            ref = slow(y, scores)
+            assert _same_bits(fast(y, scores), ref)
+            assert _same_bits(fast(y, clamped, clamped=True), ref)
+        assert _same_bits(clamped, before)  # read, never written
+
+
+def _nan_tie_surface(rng, n, c):
+    """A tie-prone surface, with NaN planted half of the time."""
+    base = verify.random_surface(rng, n, c)
+    if rng.random() < 0.5:
+        base[rng.random(base.shape) < 0.1] = np.nan
+    return base
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_in_place_value_sweep_equals_hier_transform_values(seed):
+    rng = np.random.default_rng(seed)
+    tax = verify.random_taxonomy(rng)
+    base = _nan_tie_surface(rng, int(rng.integers(1, 3 * BLOCK)), tax.n_classes)
+    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+        ref, _ = hier_transform(base, tax, scope=scope)
+        surface = base.copy()
+        assert losses.hier_transform_in_place(surface, tax, scope) is None
+        assert _same_bits(surface, ref)
+        # a bool surface is transformed as its 0/1 float surface
+        bits = base >= 2.0
+        ref01, _ = hier_transform(bits.astype(np.float64), tax, scope=scope)
+        losses.hier_transform_in_place(bits, tax, scope)
+        assert bits.dtype == np.bool_ and np.array_equal(bits, ref01 != 0)
+
+
+@pytest.mark.parametrize("surface", (
+    [[0.0, 1.0]],  # not an array
+    np.zeros((1, 2), dtype=np.float32),
+    np.zeros((1, 2), dtype=np.int64),
+))
+def test_in_place_value_sweep_rejects_what_it_cannot_overwrite_exactly(surface):
+    tax = parse_hierarchy(["a", "a/x"])
+    with pytest.raises(ValueError, match="float64 or bool array"):
+        losses.hier_transform_in_place(surface, tax)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_error_count_equals_float_sum_of_transformed_zero_one_loss(seed):
+    rng = np.random.default_rng(seed)
+    tax = verify.random_taxonomy(rng)
+    shape = (int(rng.integers(1, 3 * BLOCK)), tax.n_classes)
+    y = rng.choice([-1.0, 1.0, 0.0, np.nan], size=shape, p=[0.5, 0.3, 0.1, 0.1])
+    if rng.random() < 0.5:
+        y = rng.choice([-1, 1], size=shape).astype(np.int8)
+    threshold = float(rng.choice([0.5, 0.3, 1e-9, 1.0 - 1e-9]))
+    scores = _edge_scores(rng, shape)
+    scores[rng.random(shape) < 0.1] = threshold  # on the threshold: predicts -1
+    errors = losses.zero_one_errors(y, scores, decision_threshold=threshold)
+    ref01 = slow_zero_one_loss(y, scores, threshold)
+    assert errors.dtype == np.bool_ and np.array_equal(errors, ref01 != 0)
+    assert _same_bits(losses.zero_one_loss(y, scores, threshold), ref01)
+    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+        e_h, _ = hier_transform(ref01, tax, scope=scope)
+        e_bits = errors.copy()
+        losses.hier_transform_in_place(e_bits, tax, scope)
+        assert float(np.count_nonzero(e_bits)) == float(e_h.sum())
+
+
+@pytest.mark.parametrize("threshold", (0.0, 1.0, -0.5, np.nan))
+def test_zero_one_errors_validate_the_threshold(threshold):
+    with pytest.raises(ValueError, match=r"decision_threshold must lie in \(0,1\)"):
+        losses.zero_one_errors(np.ones((1, 2)), np.full((1, 2), 0.5), threshold)
+
+
+@pytest.mark.parametrize("batch_size", (24, 1000))  # a short last batch; one partial batch
+def test_dropout_training_matches_per_batch_mask_reference(batch_size):
+    d = data.split(data.synth_generate(data.SynthConfig(
+        levels=3, branching=2, examples_per_leaf=15, feature_dim=5, seed=2)), seed=0)
+    n_train = len(d.indices("train"))
+    assert n_train % 24 and n_train < 1000
+    cfg = mlp.TrainConfig(hidden_width=16, epochs=3, seed=5, batch_size=batch_size,
+                          dropout_rate=0.25)
+    params, log = mlp.train(d, d.taxonomy, cfg)
+    ref_params, ref_log = slow_train(d, d.taxonomy, cfg)
+    as_jsonl = [json.dumps(e.jsonl_dict(), sort_keys=True) for e in log]  # as metrics.jsonl
+    assert as_jsonl == [json.dumps(e.jsonl_dict(), sort_keys=True) for e in ref_log]
+    for fast, slow in zip(params.arrays(), ref_params.arrays()):
+        assert _same_bits(fast, slow)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,42 @@ def test_train_config_validation():
         TrainConfig(hidden_width=0)
 
 
+def _agg():
+    return curriculum.ClassLossAggregate(L=np.zeros(1), e_h_total=0.0, n_examples=1)
+
+
+def _ones():
+    return np.ones((1, 1))
+
+
+# Each value a deep check rejects only when the first epoch ends, with that check.
+DEEP_CHECKS = [
+    (dict(decision_threshold=v), lambda v=v: losses.zero_one_loss(_ones(), _ones(), v))
+    for v in (0.0, 1.0, 1.5, -0.2, math.nan)
+] + [
+    (dict(selection_rule="best-k"),
+     lambda: curriculum.select_classes(_agg(), 1, rule="best-k")),
+    (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD),
+     lambda: curriculum.select_classes(_agg(), 1, rule=curriculum.RULE_FIXED_THRESHOLD)),
+    (dict(focal_gamma=-1.0), lambda: losses.focal_loss(_ones(), _ones(), gamma=-1.0)),
+]
+
+
+@pytest.mark.parametrize("bad, deep_check", DEEP_CHECKS)
+def test_train_config_rejects_up_front_what_the_deep_checks_reject(bad, deep_check):
+    with pytest.raises(ValueError) as deep:
+        deep_check()
+    with pytest.raises(ValueError) as early:
+        TrainConfig(**bad)
+    assert str(early.value) == str(deep.value)
+
+
+@pytest.mark.parametrize("lr", (math.nan, math.inf))
+def test_train_config_rejects_non_finite_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate must be finite and >= 0"):
+        TrainConfig(learning_rate=lr)
+
+
 def test_train_rejects_mismatched_taxonomy():
     d = tiny_dataset()
     other = parse_hierarchy(["a", "b"])
