@@ -42,7 +42,7 @@ from .losses import (
     hier_transform_backward,
     zero_one_loss,
 )
-from .metrics import EvalReport, evaluate, hier_dist, hit_at_1, mrr
+from .metrics import EvalReport, evaluate
 from .mlp import (
     MlpParams,
     TrainConfig,
@@ -81,15 +81,12 @@ __all__ = [
     "focal_loss",
     "hcl_grad",
     "hcl_loss",
-    "hier_dist",
     "hier_transform",
     "hier_transform_backward",
-    "hit_at_1",
     "init_params",
     "load_checkpoint",
     "load_hierarchy_file",
     "load_native_dir",
-    "mrr",
     "normalize",
     "parse_arff_hmc",
     "parse_hierarchy",

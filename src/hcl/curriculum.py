@@ -106,7 +106,8 @@ def brute_force_select(agg: ClassLossAggregate, n_classes: int):
 
 
 def check_selection_rule(rule: str, thresh: float | None) -> None:
-    """Reject an unknown rule, and fixed-threshold without a threshold."""
+    """Reject an unknown rule, fixed-threshold without a threshold, and a
+    non-finite threshold (NaN and +inf would select every class, -inf none)."""
     if rule not in (RULE_OPTIMAL_PREFIX, RULE_FIXED_THRESHOLD):
         raise ValueError(f"unknown selection rule {rule!r}")
     if rule == RULE_FIXED_THRESHOLD and thresh is None:
@@ -114,6 +115,8 @@ def check_selection_rule(rule: str, thresh: float | None) -> None:
             "fixed-threshold rule needs an explicit thresh; pass thresh= "
             "or use the optimal-prefix rule"
         )
+    if thresh is not None and not np.isfinite(thresh):
+        raise ValueError(f"selection thresh must be finite, got {thresh}")
 
 
 def select_classes(

@@ -83,21 +83,6 @@ def _rank_of(scores, col) -> np.ndarray:
     return 1 + np.count_nonzero(ahead, axis=1)
 
 
-def hit_at_1(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
-    """Fraction of examples whose top-ranked class is a positive label."""
-    return evaluate(y, scores, taxonomy, leaves_only).hit_at_1
-
-
-def mrr(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
-    """Mean reciprocal rank of the first positive class, ranks from 1."""
-    return evaluate(y, scores, taxonomy, leaves_only).mrr
-
-
-def hier_dist(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> float:
-    """Mean over examples of the LCA-height distance of the top-1 prediction."""
-    return evaluate(y, scores, taxonomy, leaves_only).hier_dist
-
-
 def evaluate(
     y, scores, taxonomy: Taxonomy, leaves_only: bool = False, per_example: bool = False
 ) -> EvalReport:

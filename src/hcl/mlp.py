@@ -21,13 +21,23 @@ overwrites the logits one row block at a time (see ``_sigmoid``).
 ``s = 1/(1-rate) >= 1``, a kept unit's ``max(z1, 0) * s`` is positive
 exactly when ``z1 > 0``, and a dropped unit's upstream ``dhidden * 0`` is
 a signed zero (or NaN) that both masks leave as it is.
+
+The parameters live in one float64 vector, ``MlpParams.flat``: W1 (D x H,
+row-major), b1, W2 (H x C, row-major), b2, the checkpoint's order. The four
+named arrays are views of it, so the optimizer steps one vector, a
+checkpoint is one write and one read, and ``backward`` returns its
+gradients in the same layout. ``backward`` writes each product and column
+sum into its view of a fresh vector with ``out=``. That only says where the
+result goes: every view is C-contiguous and overlaps no operand, so numpy
+runs the same BLAS call and the same reduction as it would into a new
+array, and the bits are the same.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,22 +90,29 @@ class TrainConfig:
         curriculum.check_selection_rule(self.selection_rule, self.selection_thresh)
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
-    W1: np.ndarray  # D x H
-    b1: np.ndarray  # H
-    W2: np.ndarray  # H x C
-    b2: np.ndarray  # C
+    """W1 (D x H), b1, W2 (H x C) and b2 as views of ``flat``, in that order."""
+
+    flat: np.ndarray  # float64, D*H + H + H*C + C values
+    dims: tuple[int, int, int]  # D, H, C
+
+    def __post_init__(self):
+        d, h, c = self.dims = tuple(int(n) for n in self.dims)
+        b1_at, w2_at, b2_at = d * h, d * h + h, d * h + h + h * c
+        if (self.flat.dtype != np.float64 or self.flat.shape != (b2_at + c,)
+                or not self.flat.flags.c_contiguous):
+            raise ValueError(
+                f"flat must be a contiguous float64 vector of {b2_at + c} values for "
+                f"D={d} H={h} C={c}, got {self.flat.dtype} of shape {self.flat.shape}"
+            )
+        self.W1 = self.flat[:b1_at].reshape(d, h)
+        self.b1 = self.flat[b1_at:w2_at]
+        self.W2 = self.flat[w2_at:b2_at].reshape(h, c)
+        self.b2 = self.flat[b2_at:]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
-    def arrays(self):
-        return (self.W1, self.b1, self.W2, self.b2)
-
-    @property
-    def dims(self):
-        return self.W1.shape[0], self.W1.shape[1], self.W2.shape[1]
+        return MlpParams(self.flat.copy(), self.dims)
 
 
 def init_params(n_features: int, hidden_width: int, n_classes: int, seed: int) -> MlpParams:
@@ -107,12 +124,12 @@ def init_params(n_features: int, hidden_width: int, n_classes: int, seed: int) -
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / n_features)
     lim2 = np.sqrt(6.0 / hidden_width)
-    return MlpParams(
-        W1=rng.uniform(-lim1, lim1, size=(n_features, hidden_width)),
-        b1=np.zeros(hidden_width),
-        W2=rng.uniform(-lim2, lim2, size=(hidden_width, n_classes)),
-        b2=np.zeros(n_classes),
-    )
+    # uniform(size=n) draws what uniform(size=shape) draws, in row-major order
+    flat = np.concatenate([
+        rng.uniform(-lim1, lim1, size=n_features * hidden_width), np.zeros(hidden_width),
+        rng.uniform(-lim2, lim2, size=hidden_width * n_classes), np.zeros(n_classes),
+    ])
+    return MlpParams(flat, (n_features, hidden_width, n_classes))
 
 
 def _sigmoid(z):
@@ -181,26 +198,28 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
 
 
 def backward(params: MlpParams, cache: ForwardCache, dscores) -> MlpParams:
-    """Exact reverse-mode gradients; returns them in MlpParams layout."""
+    """Exact reverse-mode gradients in a fresh MlpParams (see the module
+    docstring for why ``out=`` leaves their bits alone)."""
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different parameter set")
     dscores = np.asarray(dscores, dtype=np.float64)
     if dscores.shape != cache.scores.shape:
         raise ValueError(f"upstream gradient shape {dscores.shape} does not match scores")
+    grads = MlpParams(np.empty_like(params.flat), params.dims)
     dz2 = dscores * cache.scores * (1.0 - cache.scores)
-    dW2 = cache.hidden.T @ dz2
-    db2 = dz2.sum(axis=0)
+    np.matmul(cache.hidden.T, dz2, out=grads.W2)
+    dz2.sum(axis=0, out=grads.b2)
     dhidden = dz2 @ params.W2.T
     if cache.mask_scale is not None:
         dhidden *= cache.mask_scale
     dhidden *= cache.hidden > 0  # dz1, see the module docstring
-    dW1 = cache.x.T @ dhidden
-    db1 = dhidden.sum(axis=0)
-    return MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2)
+    np.matmul(cache.x.T, dhidden, out=grads.W1)
+    dhidden.sum(axis=0, out=grads.b1)
+    return grads
 
 
-# Elements per in-place Adam pass: two scratch arrays of this size serve every
-# parameter, and a chunk's six operands stay in cache across its 14 passes.
+# Elements per in-place Adam pass: a chunk's six operands stay in cache
+# across its 14 passes.
 _ADAM_CHUNK = 1 << 14
 
 
@@ -208,46 +227,41 @@ class _Optimizer:
     def __init__(self, cfg: TrainConfig, params: MlpParams):
         self.cfg = cfg
         if cfg.optimizer == "adam":
-            self.m = [np.zeros_like(a) for a in params.arrays()]
-            self.v = [np.zeros_like(a) for a in params.arrays()]
-            # a chunk holds at least one leading-axis row
-            size = max([_ADAM_CHUNK] + [a.size // len(a) for a in params.arrays()])
-            self.scratch = (np.empty(size), np.empty(size))
+            self.m = np.zeros_like(params.flat)
+            self.v = np.zeros_like(params.flat)
+            self.scratch = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
             self.t = 0
 
     def step(self, params: MlpParams, grads: MlpParams):
         lr = self.cfg.learning_rate
         if self.cfg.optimizer == "sgd":
-            for p, g in zip(params.arrays(), grads.arrays()):
-                p -= lr * g
+            params.flat -= lr * grads.flat
             return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for arrays in zip(params.arrays(), grads.arrays(), self.m, self.v):
-            # chunks of whole leading-axis rows are views in any memory layout
-            rows = max(1, _ADAM_CHUNK // (arrays[0].size // len(arrays[0])))
-            for start in range(0, len(arrays[0]), rows):
-                p, g, m, v = (a[start:start + rows] for a in arrays)
-                s1, s2 = (s[:p.size].reshape(p.shape) for s in self.scratch)
-                # In place, in the operation order of
-                #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-                #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
-                # so every step is bitwise equal to evaluating those expressions.
-                np.multiply(m, b1, out=m)
-                np.multiply(g, 1 - b1, out=s1)
-                np.add(m, s1, out=m)
-                np.multiply(v, b2, out=v)
-                np.multiply(g, 1 - b2, out=s1)
-                np.multiply(s1, g, out=s1)
-                np.add(v, s1, out=v)
-                np.divide(m, c1, out=s1)
-                np.multiply(s1, lr, out=s1)
-                np.divide(v, c2, out=s2)
-                np.sqrt(s2, out=s2)
-                np.add(s2, eps, out=s2)
-                np.divide(s1, s2, out=s1)
-                np.subtract(p, s1, out=p)
+        for start in range(0, len(params.flat), _ADAM_CHUNK):
+            p, g, m, v = (a[start:start + _ADAM_CHUNK]
+                          for a in (params.flat, grads.flat, self.m, self.v))
+            s1, s2 = (s[:len(p)] for s in self.scratch)
+            # In place, in the operation order of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            #   p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
+            # so every step is bitwise equal to evaluating those expressions.
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1 - b2, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(m, c1, out=s1)
+            np.multiply(s1, lr, out=s1)
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(p, s1, out=p)
 
 
 @dataclass
@@ -347,14 +361,13 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
 
 
 def save_checkpoint(path, params: MlpParams) -> None:
-    """Magic string, three little-endian uint64 dims, then the four arrays
-    as row-major little-endian float64. Write->read round-trips bitwise."""
-    d, h, c = params.dims
+    """Magic string, three little-endian uint64 dims, then ``flat`` (W1, b1,
+    W2, b2 row-major) as little-endian float64. Write->read round-trips
+    bitwise."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<QQQ", d, h, c))
-        for a in params.arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(struct.pack("<QQQ", *params.dims))
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> MlpParams:
@@ -366,24 +379,15 @@ def load_checkpoint(path) -> MlpParams:
         if len(header) != 24:
             raise ValueError(f"{path}: truncated checkpoint header")
         d, h, c = struct.unpack("<QQQ", header)
-        # check the claimed dims against the file before allocating any block
+        # check the claimed dims against the file before allocating the vector
         if min(d, h, c) < 1:
             raise ValueError(f"{path}: checkpoint header claims D={d} H={h} C={c}; "
                              "dimensions must be positive")
+        n_bytes = 8 * (d * h + h + h * c + c)
         size = os.fstat(fh.fileno()).st_size
-        want = len(CHECKPOINT_MAGIC) + 24 + 8 * (d * h + h + h * c + c)
+        want = len(CHECKPOINT_MAGIC) + 24 + n_bytes
         if size != want:
             raise ValueError(f"{path}: checkpoint header claims D={d} H={h} C={c}, "
                              f"{want} bytes in all, but the file has {size} bytes")
-
-        def block(shape):
-            buf = fh.read(8 * int(np.prod(shape)))
-            return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-
-        return MlpParams(
-            W1=block((d, h)), b1=block((h,)), W2=block((h, c)), b2=block((c,))
-        )
-
-
-def config_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
+        flat = np.frombuffer(fh.read(n_bytes), dtype="<f8").astype(np.float64)
+    return MlpParams(flat, (d, h, c))

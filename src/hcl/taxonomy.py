@@ -5,6 +5,11 @@ assigned by lexicographic path order so every downstream artifact is
 deterministic. An implicit virtual root sits above all top-level classes at
 level 0. It is never a scored class; queries that can land on it return the
 sentinel ``VIRTUAL_ROOT``.
+
+A ``Taxonomy`` stores the names and two read-only int64 arrays indexed by
+class id: ``parent_ids`` (``VIRTUAL_ROOT`` for a top-level class) and
+``level`` (1 for a top-level class). Every other query (level buckets,
+heights, leaves, the ancestor table) is derived from them once and cached.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ import numpy as np
 VIRTUAL_ROOT = -1
 
 
-@dataclass
+@dataclass(eq=False)
 class Taxonomy:
     """Immutable class hierarchy. Build via :func:`parse_hierarchy`."""
 
     class_names: tuple[str, ...]
-    parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
-    level: tuple[int, ...]
+    parent_ids: np.ndarray
+    level: np.ndarray
     separator: str = "/"
     _name_to_id: dict[str, int] = field(repr=False, default_factory=dict)
 
@@ -38,7 +42,7 @@ class Taxonomy:
 
     @cached_property
     def max_level(self) -> int:
-        return max(self.level)
+        return int(self.level.max())
 
     def id_of(self, name: str) -> int:
         try:
@@ -69,18 +73,7 @@ class Taxonomy:
         Ids inside each bucket are ascending, and the concatenation of all
         buckets is a permutation of 0..C-1.
         """
-        buckets = [[] for _ in range(self.max_level + 1)]
-        for c in range(self.n_classes):
-            buckets[self.level[c]].append(c)
-        return tuple(np.asarray(b, dtype=np.int64) for b in buckets)
-
-    @cached_property
-    def parent_ids(self) -> np.ndarray:
-        """Parent id of every class as an array; ``VIRTUAL_ROOT`` for top-level
-        classes. Lets callers gather parent columns in one indexing step."""
-        return np.asarray(
-            [VIRTUAL_ROOT if p is None else p for p in self.parent], dtype=np.int64
-        )
+        return tuple(np.flatnonzero(self.level == lvl) for lvl in range(self.max_level + 1))
 
     @property
     def top_level_ids(self) -> np.ndarray:
@@ -118,16 +111,6 @@ class Taxonomy:
         k = int(((row == self.path_ids[b]) & (row != VIRTUAL_ROOT)).sum())
         return int(row[k - 1]) if k else VIRTUAL_ROOT
 
-    def node_height(self, v: int) -> int:
-        """Height of a class id, or of the whole tree for VIRTUAL_ROOT."""
-        if v == VIRTUAL_ROOT:
-            return self.max_level
-        return int(self.heights[self._check_id(v)])
-
-    def emit_paths(self) -> list[str]:
-        """Path strings for every class, in id order (round-trips via parse)."""
-        return list(self.class_names)
-
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for name in self.class_names:
@@ -157,24 +140,15 @@ def parse_hierarchy(paths, separator: str = "/") -> Taxonomy:
 
     names = tuple(sorted(all_names))
     name_to_id = {n: i for i, n in enumerate(names)}
-    parent: list[int | None] = []
-    level: list[int] = []
-    children: list[list[int]] = [[] for _ in names]
-    for i, n in enumerate(names):
-        parts = n.split(separator)
-        level.append(len(parts))
-        if len(parts) == 1:
-            parent.append(None)
-        else:
-            p = name_to_id[separator.join(parts[:-1])]
-            parent.append(p)
-            children[p].append(i)
+    parts = [n.split(separator) for n in names]
+    parent_ids = np.asarray(
+        [name_to_id[separator.join(q[:-1])] if len(q) > 1 else VIRTUAL_ROOT for q in parts],
+        dtype=np.int64,
+    )
+    level = np.asarray([len(q) for q in parts], dtype=np.int64)
+    parent_ids.flags.writeable = level.flags.writeable = False
     return Taxonomy(
-        class_names=names,
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-        level=tuple(level),
-        separator=separator,
+        class_names=names, parent_ids=parent_ids, level=level, separator=separator
     )
 
 

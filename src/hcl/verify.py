@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curriculum, losses
-from .taxonomy import Taxonomy, parse_hierarchy
+from .taxonomy import VIRTUAL_ROOT, Taxonomy, parse_hierarchy
 
 GRAD_FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -88,13 +88,11 @@ def _lambda_violation(surface, tax: Taxonomy):
 
 
 def _chain_violation(surface, tax: Taxonomy):
-    for c in range(tax.n_classes):
-        p = tax.parent[c]
-        if p is None:
-            continue
+    for c in np.flatnonzero(tax.parent_ids != VIRTUAL_ROOT):
+        p = tax.parent_ids[c]
         bad = np.flatnonzero(surface[:, c] < surface[:, p])
         if len(bad):
-            return int(bad[0]), c, p
+            return int(bad[0]), int(c), int(p)
     return None
 
 
@@ -161,11 +159,10 @@ def _min_level_dominator(base, tax: Taxonomy) -> np.ndarray:
     """Smallest level-monotone surface >= base, computed by a direct level
     sweep so the bound check does not depend on the transform under test."""
     base = np.asarray(base, dtype=np.float64)
-    lv = np.asarray(tax.level)
     out = base.copy()
     shallower = np.full(base.shape[0], -np.inf)
-    for level in range(1, int(lv.max()) + 1):
-        cols = np.flatnonzero(lv == level)
+    for level in range(1, tax.max_level + 1):
+        cols = np.flatnonzero(tax.level == level)
         out[:, cols] = np.maximum(base[:, cols], shallower[:, None])
         shallower = np.maximum(shallower, base[:, cols].max(axis=1))
     return out

@@ -299,6 +299,8 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     ("focal_gamma=-1", "gamma must be >= 0, got -1.0"),
     ("lr=nan", "learning_rate must be finite and >= 0, got nan"),
     ("split_ratios=nan,0.2,0.2", "need three positive finite ratios"),
+    ("selection_thresh=nan", "selection thresh must be finite, got nan"),
+    ("selection_thresh=-inf", "selection thresh must be finite, got -inf"),
 ])
 def test_bad_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
                                                   override, message):

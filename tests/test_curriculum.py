@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hcl import losses, verify
 from hcl.curriculum import (
     RULE_FIXED_THRESHOLD,
+    RULE_OPTIMAL_PREFIX,
     ClassLossAggregate,
     aggregate_class_losses,
     brute_force_select,
@@ -192,6 +193,14 @@ def test_harder_zero_one_totals_never_shrink_the_selection(seed, bump):
 def test_threshold_rule_requires_thresh():
     with pytest.raises(ValueError, match="thresh"):
         select_classes(agg_of([1.0], 0.0), 1, rule=RULE_FIXED_THRESHOLD)
+
+
+@pytest.mark.parametrize("thresh", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("rule", (RULE_FIXED_THRESHOLD, RULE_OPTIMAL_PREFIX))
+def test_selection_rejects_non_finite_thresh(rule, thresh):
+    # before the check, NaN and +inf selected every class and -inf none
+    with pytest.raises(ValueError, match=f"selection thresh must be finite, got {thresh}"):
+        select_classes(agg_of([0.1, 0.2], 0.0), 2, rule=rule, thresh=thresh)
 
 
 def test_threshold_rule_hand_fixture():

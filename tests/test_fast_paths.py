@@ -10,12 +10,15 @@ gradient, the float 0-1 surface that the epoch-end pass summed, the
 training loop that allocated each dropout mask afresh, the parent-walking
 tree queries that the ``Taxonomy.path_ids`` table replaced, the per-example
 ranking and LCA loops of ``metrics.evaluate``, and the per-class loops of
-label closure and of the native label writer. The fast paths keep their
-arithmetic, so every comparison is bitwise (``np.array_equal``), not within
-a tolerance.
+label closure and of the native label writer. The tree references read
+each class's parent, children and level off its path string
+(``tree_from_names``), not off the ``Taxonomy`` arrays under test. The fast
+paths keep their arithmetic, so every comparison is bitwise
+(``np.array_equal``), not within a tolerance.
 """
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,17 +34,37 @@ BLOCK = losses._BLOCK_ROWS
 ROW_COUNTS = (1, BLOCK, 2 * BLOCK + BLOCK // 3)
 
 
+class Tree(NamedTuple):
+    parent: list  # class id, or None for a top-level class
+    children: list  # lists of class ids, ascending
+    level: list
+
+
+def tree_from_names(tax):
+    """Parent, children and level of every class, read off the path strings."""
+    sep = tax.separator
+    ids = {name: i for i, name in enumerate(tax.class_names)}
+    parts = [name.split(sep) for name in tax.class_names]
+    parent = [ids[sep.join(q[:-1])] if len(q) > 1 else None for q in parts]
+    children = [[] for _ in parts]
+    for c, p in enumerate(parent):
+        if p is not None:
+            children[p].append(c)
+    return Tree(parent, children, [len(q) for q in parts])
+
+
 def slow_ancestors_only(base, tax):
     """Per-class loop down each root path, one column at a time."""
     base = np.asarray(base, dtype=np.float64)
+    tree = tree_from_names(tax)
     out = np.empty_like(base)
     routing = np.empty(base.shape, dtype=np.int64)
     chain_val = np.empty_like(base)
     chain_min = np.empty(base.shape, dtype=np.int64)
-    for ids in tax.levels_index[1:]:
-        for j in ids:
+    for lvl in range(1, max(tree.level) + 1):
+        for j in [j for j in range(tax.n_classes) if tree.level[j] == lvl]:
             col = base[:, j]
-            p = tax.parent[j]
+            p = tree.parent[j]
             if p is None:
                 out[:, j] = col
                 routing[:, j] = j
@@ -66,7 +89,7 @@ def slow_all_shallower(base, tax):
     base = np.asarray(base, dtype=np.float64)
     out = base.copy()
     routing = np.tile(np.arange(tax.n_classes), (base.shape[0], 1))
-    lv = np.asarray(tax.level)
+    lv = np.asarray(tree_from_names(tax).level)
     for j in range(tax.n_classes):
         shallower = np.flatnonzero(lv < lv[j])  # ascending ids
         if not len(shallower):
@@ -95,11 +118,16 @@ def slow_backward(routing, upstream):
     return out
 
 
+def _views(params):
+    return params.W1, params.b1, params.W2, params.b2
+
+
 def slow_adam_step(state, params, grads, lr):
-    """Allocating Adam step; ``state`` holds ``m``, ``v`` lists and ``t``."""
+    """Allocating Adam step over the four arrays; ``state`` holds ``m``,
+    ``v`` lists and ``t``."""
     state["t"] += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for i, (p, g) in enumerate(zip(params.arrays(), grads.arrays())):
+    for i, (p, g) in enumerate(zip(_views(params), _views(grads))):
         state["m"][i] = b1 * state["m"][i] + (1 - b1) * g
         state["v"][i] = b2 * state["v"][i] + (1 - b2) * g * g
         mhat = state["m"][i] / (1 - b1 ** state["t"])
@@ -250,7 +278,7 @@ def test_backward_rejects_out_of_range_routing(bad):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk", (mlp._ADAM_CHUNK, 7))  # 7: many chunks, rows wider than one
+@pytest.mark.parametrize("chunk", (mlp._ADAM_CHUNK, 7))  # 7: many chunks, some across two arrays
 @pytest.mark.parametrize("optimizer", ("adam", "sgd"))
 def test_optimizer_step_matches_allocating_reference(optimizer, chunk, monkeypatch):
     monkeypatch.setattr(mlp, "_ADAM_CHUNK", chunk)
@@ -259,21 +287,21 @@ def test_optimizer_step_matches_allocating_reference(optimizer, chunk, monkeypat
     params = mlp.init_params(5, 9, 4, seed=3)
     ref = params.copy()
     opt = mlp._Optimizer(cfg, params)
-    state = {"m": [np.zeros_like(a) for a in ref.arrays()],
-             "v": [np.zeros_like(a) for a in ref.arrays()], "t": 0}
+    state = {"m": [np.zeros_like(a) for a in _views(ref)],
+             "v": [np.zeros_like(a) for a in _views(ref)], "t": 0}
     for _ in range(4):
-        grads = mlp.MlpParams(*(rng.normal(scale=2.0, size=a.shape) for a in params.arrays()))
+        grads = mlp.MlpParams(rng.normal(scale=2.0, size=params.flat.size), params.dims)
         opt.step(params, grads)
         if optimizer == "adam":
             slow_adam_step(state, ref, grads, cfg.learning_rate)
         else:
-            for p, g in zip(ref.arrays(), grads.arrays()):
+            for p, g in zip(_views(ref), _views(grads)):
                 p -= cfg.learning_rate * g
-        for fast, slow in zip(params.arrays(), ref.arrays()):
+        for fast, slow in zip(_views(params), _views(ref)):
             assert np.array_equal(fast, slow)
     if optimizer == "adam":
-        for fast, slow in zip(opt.m + opt.v, state["m"] + state["v"]):
-            assert np.array_equal(fast, slow)
+        for fast, slow in ((opt.m, state["m"]), (opt.v, state["v"])):
+            assert np.array_equal(fast, np.concatenate([a.ravel() for a in slow]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +340,7 @@ def slow_mlp_backward(params, cache, dscores):
     if cache["mask_scale"] is not None:
         dhidden = dhidden * cache["mask_scale"]
     dz1 = dhidden * (cache["z1"] > 0)
-    return mlp.MlpParams(W1=cache["x"].T @ dz1, b1=dz1.sum(axis=0), W2=dW2, b2=db2)
+    return cache["x"].T @ dz1, dz1.sum(axis=0), dW2, db2
 
 
 def _same_bits(a, b):
@@ -347,7 +375,7 @@ def test_mlp_forward_and_backward_match_allocating_reference(n_classes, n, rate)
     for dscores in upstreams:
         grads = mlp.backward(params, cache, dscores)
         ref = slow_mlp_backward(params, ref_cache, dscores)
-        for fast, slow in zip(grads.arrays(), ref.arrays()):
+        for fast, slow in zip(_views(grads), ref):
             assert _same_bits(fast, slow)
 
 
@@ -627,8 +655,7 @@ def test_dropout_training_matches_per_batch_mask_reference(batch_size):
     ref_params, ref_log = slow_train(d, d.taxonomy, cfg)
     as_jsonl = [json.dumps(e.jsonl_dict(), sort_keys=True) for e in log]  # as metrics.jsonl
     assert as_jsonl == [json.dumps(e.jsonl_dict(), sort_keys=True) for e in ref_log]
-    for fast, slow in zip(params.arrays(), ref_params.arrays()):
-        assert _same_bits(fast, slow)
+    assert _same_bits(params.flat, ref_params.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -636,41 +663,41 @@ def test_dropout_training_matches_per_batch_mask_reference(batch_size):
 # ---------------------------------------------------------------------------
 
 
-def slow_ancestors(tax, c):
+def slow_ancestors(tree, c):
     """Strict ancestors, nearest first, by walking ``parent``."""
     out = []
-    p = tax.parent[c]
+    p = tree.parent[c]
     while p is not None:
         out.append(p)
-        p = tax.parent[p]
+        p = tree.parent[p]
     return out
 
 
-def slow_lca(tax, a, b):
+def slow_lca(tree, a, b):
     """Climb the deeper class to the other's level, then both in step."""
-    while tax.level[a] > tax.level[b]:
-        a = tax.parent[a]
-    while tax.level[b] > tax.level[a]:
-        b = tax.parent[b]
+    while tree.level[a] > tree.level[b]:
+        a = tree.parent[a]
+    while tree.level[b] > tree.level[a]:
+        b = tree.parent[b]
     while a != b:
-        pa, pb = tax.parent[a], tax.parent[b]
+        pa, pb = tree.parent[a], tree.parent[b]
         if pa is None or pb is None:
             return VIRTUAL_ROOT
         a, b = pa, pb
     return a
 
 
-def slow_heights(tax):
+def slow_heights(tree):
     """Post-order over ``children`` by descending level."""
-    h = np.zeros(tax.n_classes, dtype=np.int64)
-    for c in sorted(range(tax.n_classes), key=lambda c: -tax.level[c]):
-        if tax.children[c]:
-            h[c] = 1 + max(h[k] for k in tax.children[c])
+    h = np.zeros(len(tree.level), dtype=np.int64)
+    for c in sorted(range(len(tree.level)), key=lambda c: -tree.level[c]):
+        if tree.children[c]:
+            h[c] = 1 + max(h[k] for k in tree.children[c])
     return h
 
 
-def slow_leaf_ids(tax):
-    return np.asarray([c for c in range(tax.n_classes) if not tax.children[c]], dtype=np.int64)
+def slow_leaf_ids(tree):
+    return np.asarray([c for c, kids in enumerate(tree.children) if not kids], dtype=np.int64)
 
 
 def slow_top1_and_first_pos_rank(y, scores, cand):
@@ -686,13 +713,13 @@ def slow_top1_and_first_pos_rank(y, scores, cand):
     return top1, first
 
 
-def slow_per_example_dist(y, top1, tax):
+def slow_per_example_dist(y, top1, tree):
     """The retired minimum over positives of the height of their LCA with
     the prediction, the virtual root counting as the whole tree's height."""
-    heights = slow_heights(tax)
+    heights = slow_heights(tree)
 
     def node_height(v):
-        return max(tax.level) if v == VIRTUAL_ROOT else int(heights[v])
+        return max(tree.level) if v == VIRTUAL_ROOT else int(heights[v])
 
     dist = np.zeros(len(y), dtype=np.float64)
     for i in range(len(y)):
@@ -700,37 +727,40 @@ def slow_per_example_dist(y, top1, tax):
         if y[i, p] == 1:
             continue
         positives = np.flatnonzero(y[i] == 1)
-        dist[i] = min(node_height(slow_lca(tax, int(c), p)) for c in positives)
+        dist[i] = min(node_height(slow_lca(tree, int(c), p)) for c in positives)
     return dist
 
 
 def slow_evaluate(y, scores, tax, leaves_only):
-    cand = slow_leaf_ids(tax) if leaves_only else np.arange(tax.n_classes)
+    tree = tree_from_names(tax)
+    cand = slow_leaf_ids(tree) if leaves_only else np.arange(tax.n_classes)
     top1, first = slow_top1_and_first_pos_rank(y, scores, cand)
     hits = (y[np.arange(len(y)), top1] == 1).astype(np.float64)
     rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
-    dist = slow_per_example_dist(y, top1, tax)
+    dist = slow_per_example_dist(y, top1, tree)
     rows = [(tax.class_names[int(t)], int(f), float(d)) for t, f, d in zip(top1, first, dist)]
     return float(hits.mean()), float(rr.mean()), float(dist.mean()), rows
 
 
 def slow_close_labels(positives_per_row, tax):
     """The retired nested loop: each positive, then each of its ancestors."""
+    tree = tree_from_names(tax)
     y = np.full((len(positives_per_row), tax.n_classes), -1, dtype=np.int8)
     for i, pos in enumerate(positives_per_row):
         for c in pos:
             y[i, c] = 1
-            for a in slow_ancestors(tax, c):
+            for a in slow_ancestors(tree, c):
                 y[i, a] = 1
     return y
 
 
 def slow_native_label_lines(labels, tax):
     """The retired per-child scan: a positive is listed unless a child is."""
+    children = tree_from_names(tax).children
     lines = []
     for yrow in labels:
         pos = np.flatnonzero(yrow == 1)
-        maximal = [c for c in pos if not any(yrow[k] == 1 for k in tax.children[c])]
+        maximal = [c for c in pos if not any(yrow[k] == 1 for k in children[c])]
         lines.append(";".join(tax.class_names[c] for c in maximal))
     return lines
 
@@ -789,17 +819,20 @@ def _edge_rows(rng, tax, n):
 @given(seed=st.integers(0, 100_000))
 def test_tree_queries_match_parent_walks(seed):
     tax = _big_forest(np.random.default_rng(seed))
+    tree = tree_from_names(tax)
     c = tax.n_classes
-    assert np.array_equal(tax.heights, slow_heights(tax))
+    assert np.array_equal(tax.parent_ids, [VIRTUAL_ROOT if p is None else p for p in tree.parent])
+    assert np.array_equal(tax.level, tree.level)
+    assert tax.parent_ids.dtype == tax.level.dtype == np.int64
+    assert np.array_equal(tax.heights, slow_heights(tree))
     assert tax.heights.dtype == np.int64
-    assert np.array_equal(tax.leaf_ids, slow_leaf_ids(tax))
+    assert np.array_equal(tax.leaf_ids, slow_leaf_ids(tree))
     assert tax.leaf_ids.dtype == np.int64
-    assert tax.max_level == max(tax.level)
-    assert tax.node_height(VIRTUAL_ROOT) == max(tax.level)
+    assert tax.max_level == max(tree.level)
     for a in range(c):
-        assert tax.ancestors(a) == slow_ancestors(tax, a)
+        assert tax.ancestors(a) == slow_ancestors(tree, a)
         for b in range(c):
-            assert tax.lca(a, b) == slow_lca(tax, a, b)
+            assert tax.lca(a, b) == slow_lca(tree, a, b)
 
 
 @pytest.mark.parametrize("leaves_only", (False, True))

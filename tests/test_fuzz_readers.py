@@ -73,10 +73,7 @@ def scratch(tmp_path_factory):
 @pytest.fixture(scope="module")
 def checkpoint(scratch):
     rng = np.random.default_rng(0)
-    params = mlp.MlpParams(
-        W1=rng.normal(size=(2, 3)), b1=rng.normal(size=3),
-        W2=rng.normal(size=(3, 2)), b2=rng.normal(size=2),
-    )
+    params = mlp.MlpParams(rng.normal(size=2 * 3 + 3 + 3 * 2 + 2), (2, 3, 2))
     path = scratch / "ok.bin"
     mlp.save_checkpoint(path, params)
     return path.read_bytes()

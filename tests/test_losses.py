@@ -218,7 +218,7 @@ def test_transform_level_ordering_and_bounds(seed):
     base = verify.random_surface(rng, rng.integers(1, 8), tax.n_classes)
     out, _ = hier_transform(base, tax)
     assert np.all(out >= base)  # never below the input
-    lv = np.asarray(tax.level)
+    lv = tax.level
     for i in range(out.shape[0]):  # deeper classes never carry less loss, exactly
         row = out[i]
         for level in range(1, lv.max()):
@@ -249,7 +249,7 @@ def test_transform_is_minimal_among_dominating_level_ordered_surfaces(seed):
     tax = verify.random_taxonomy(rng, max_classes=15)
     base = verify.random_surface(rng, 4, tax.n_classes)
     out, _ = hier_transform(base, tax)
-    lv = np.asarray(tax.level)
+    lv = tax.level
     for _ in range(3):
         g = verify.dominating_monotone_surface(rng, out, tax)
         assert np.all(g >= base)

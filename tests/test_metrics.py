@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcl import verify
-from hcl.metrics import EvalReport, evaluate, hier_dist, hit_at_1, mrr
+from hcl.metrics import EvalReport, evaluate
 from hcl.taxonomy import parse_hierarchy
 
 
@@ -56,33 +56,33 @@ def test_rank_single_class():
 def test_hit_all_correct(abc_taxonomy):
     y = labels_for(abc_taxonomy, [["A", "A/B"], ["A", "A/C"]])
     s = np.array([[0.2, 0.9, 0.1], [0.2, 0.1, 0.9]])
-    assert hit_at_1(y, s, abc_taxonomy) == 1.0
+    assert evaluate(y, s, abc_taxonomy).hit_at_1 == 1.0
 
 
 def test_hit_one_of_two(abc_taxonomy):
     y = labels_for(abc_taxonomy, [["A", "A/B"], ["A", "A/C"]])
     s = np.array([[0.2, 0.9, 0.1], [0.2, 0.8, 0.7]])
-    assert hit_at_1(y, s, abc_taxonomy) == 0.5
+    assert evaluate(y, s, abc_taxonomy).hit_at_1 == 0.5
 
 
 def test_mrr_first_positive_at_rank_four():
     tax = parse_hierarchy(["a", "b", "c", "d"])
     y = labels_for(tax, [["d"]])
     s = np.array([[0.9, 0.8, 0.7, 0.1]])
-    assert mrr(y, s, tax) == pytest.approx(0.25)
+    assert evaluate(y, s, tax).mrr == pytest.approx(0.25)
 
 
 def test_mrr_mean_over_examples(abc_taxonomy):
     y = labels_for(abc_taxonomy, [["A", "A/B"], ["A", "A/C"]])
     # row 1: first positive at rank 1; row 2: A/B outranks A/C -> rank 2
     s = np.array([[0.2, 0.9, 0.1], [0.1, 0.8, 0.7]])
-    assert mrr(y, s, abc_taxonomy) == pytest.approx((1.0 + 0.5) / 2.0)
+    assert evaluate(y, s, abc_taxonomy).mrr == pytest.approx((1.0 + 0.5) / 2.0)
 
 
 def test_metrics_reject_missing_positive(abc_taxonomy):
     y = -np.ones((1, 3))
     with pytest.raises(ValueError):
-        hit_at_1(y, np.array([[0.5, 0.4, 0.3]]), abc_taxonomy)
+        evaluate(y, np.array([[0.5, 0.4, 0.3]]), abc_taxonomy)
 
 
 def test_metrics_reject_shape_mismatch(abc_taxonomy):
@@ -99,14 +99,14 @@ def test_metrics_reject_shape_mismatch(abc_taxonomy):
 def test_dist_zero_when_top_prediction_is_positive(abc_taxonomy):
     y = labels_for(abc_taxonomy, [["A", "A/B"]])
     s = np.array([[0.9, 0.1, 0.2]])  # top-1 = A, an internal positive
-    assert hier_dist(y, s, abc_taxonomy) == 0.0
+    assert evaluate(y, s, abc_taxonomy).hier_dist == 0.0
 
 
 def test_dist_sibling_miss_fixture(abc_taxonomy):
     # positives {A, A/B}, top-1 = A/C: nearest shared node is A at height 1
     y = labels_for(abc_taxonomy, [["A", "A/B"]])
     s = np.array([[0.3, 0.2, 0.9]])
-    assert hier_dist(y, s, abc_taxonomy) == 1.0
+    assert evaluate(y, s, abc_taxonomy).hier_dist == 1.0
 
 
 def test_dist_disjoint_subtrees_is_tree_height(height4_forest):
@@ -114,12 +114,12 @@ def test_dist_disjoint_subtrees_is_tree_height(height4_forest):
     y = labels_for(tax, [["1", "1/2", "1/2/3", "1/2/3/4"]])
     s = np.full((1, tax.n_classes), 0.1)
     s[0, tax.id_of("5")] = 0.9
-    assert hier_dist(y, s, tax) == 4.0
+    assert evaluate(y, s, tax).hier_dist == 4.0
 
 
 def test_dist_never_exceeds_tree_height(rng):
     tax = verify.random_taxonomy(rng, max_classes=20)
-    max_h = tax.node_height(-1)
+    max_h = tax.max_level
     for _ in range(20):
         y = -np.ones((4, tax.n_classes))
         for i in range(4):
@@ -128,7 +128,7 @@ def test_dist_never_exceeds_tree_height(rng):
             for a in tax.ancestors(c):
                 y[i, a] = 1.0
         s = rng.uniform(0.0, 1.0, size=y.shape)
-        assert hier_dist(y, s, tax) <= max_h
+        assert evaluate(y, s, tax).hier_dist <= max_h
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +146,11 @@ def test_report_consistency_and_invariants(rng, height4_forest):
             y[i, a] = 1.0
     s = rng.uniform(0.0, 1.0, size=y.shape)
     rep = evaluate(y, s, tax)
-    assert rep.hit_at_1 == hit_at_1(y, s, tax)
-    assert rep.mrr == mrr(y, s, tax)
-    assert rep.hier_dist == hier_dist(y, s, tax)
+    # the means agree with the per-example rows of the same pass
+    rows = evaluate(y, s, tax, per_example=True).per_example
+    assert rep.hit_at_1 == np.mean([first == 1 for _, first, _ in rows])
+    assert rep.mrr == np.mean([1.0 / first for _, first, _ in rows])
+    assert rep.hier_dist == np.mean([dist for _, _, dist in rows])
     assert 0.0 <= rep.hit_at_1 <= 1.0
     assert 0.0 < rep.mrr <= 1.0
     assert rep.hit_at_1 <= rep.mrr
@@ -196,10 +198,10 @@ def test_per_example_rows(abc_taxonomy):
 def test_leaves_only_restricts_candidates(abc_taxonomy):
     y = labels_for(abc_taxonomy, [["A", "A/B"]])
     s = np.array([[0.9, 0.5, 0.1]])  # top overall is the internal node A
-    assert hit_at_1(y, s, abc_taxonomy) == 1.0
-    assert hit_at_1(y, s, abc_taxonomy, leaves_only=True) == 1.0  # A/B wins among leaves
+    assert evaluate(y, s, abc_taxonomy).hit_at_1 == 1.0
+    assert evaluate(y, s, abc_taxonomy, leaves_only=True).hit_at_1 == 1.0  # A/B wins among leaves
     s2 = np.array([[0.9, 0.1, 0.5]])
-    assert hit_at_1(y, s2, abc_taxonomy, leaves_only=True) == 0.0
+    assert evaluate(y, s2, abc_taxonomy, leaves_only=True).hit_at_1 == 0.0
 
 
 def test_report_json_uses_two_decimal_percentages():

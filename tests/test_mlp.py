@@ -1,6 +1,7 @@
 """Deterministic MLP: init, forward/backward, training loop, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def tiny_dataset(seed=0, label_noise=0.0, examples_per_leaf=30):
 def test_init_is_seed_deterministic():
     a = init_params(5, 7, 3, seed=42)
     b = init_params(5, 7, 3, seed=42)
-    assert all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+    assert np.array_equal(a.flat, b.flat)
     c = init_params(5, 7, 3, seed=43)
     assert not np.array_equal(a.W1, c.W1)
 
@@ -57,6 +58,13 @@ def test_init_biases_zero_and_weights_bounded():
     assert np.max(np.abs(p.W1)) <= math.sqrt(6.0 / 5)
     assert np.max(np.abs(p.W2)) <= math.sqrt(6.0 / 7)
     assert p.W1.shape == (5, 7) and p.W2.shape == (7, 3)
+
+
+@pytest.mark.parametrize("flat", (np.zeros(16), np.zeros(18), np.zeros((17, 1)),
+                                  np.zeros(17, dtype=np.float32), np.zeros(34)[::2]))
+def test_params_reject_flat_that_does_not_match_dims(flat):
+    with pytest.raises(ValueError, match="17 values for D=2 H=3 C=2"):
+        MlpParams(flat, (2, 3, 2))
 
 
 def test_init_rejects_zero_dimensions():
@@ -70,9 +78,7 @@ def test_init_rejects_zero_dimensions():
 
 
 def test_forward_zero_params_scores_half():
-    p = MlpParams(
-        W1=np.zeros((4, 6)), b1=np.zeros(6), W2=np.zeros((6, 2)), b2=np.zeros(2)
-    )
+    p = MlpParams(np.zeros(4 * 6 + 6 + 6 * 2 + 2), (4, 6, 2))
     scores, _ = forward(p, np.ones((3, 4)))
     assert np.all(scores == 0.5)
 
@@ -122,11 +128,11 @@ def test_forward_leaves_its_inputs_untouched_and_returns_fresh_scores(rng):
     x = rng.normal(size=(70, 4))
     assert np.asarray(x, dtype=np.float64) is x  # forward works on x itself, not a copy
     mask = (rng.random((70, 6)) >= 0.5).astype(np.float64)
-    before = [a.copy() for a in (x, mask, *p.arrays())]
+    before = [a.copy() for a in (x, mask, p.flat)]
     s1, c1 = forward(p, x)
     s2, c2 = forward(p, x, dropout_mask=mask, dropout_rate=0.5)
     s3, _ = forward(p, x)
-    assert all(np.array_equal(a, b) for a, b in zip((x, mask, *p.arrays()), before))
+    assert all(np.array_equal(a, b) for a, b in zip((x, mask, p.flat), before))
     assert s1 is not s3 and not np.shares_memory(s1, s3)
     assert np.array_equal(s1, s3)
     assert not np.shares_memory(c1.hidden, c2.hidden)
@@ -158,12 +164,7 @@ def test_dropout_mask_expectation_matches_eval_activation():
 def test_backward_scalar_network_hand_fixture():
     # 1-1-1 network: score = sigmoid(W2 * relu(W1*x + b1) + b2)
     # x=1, W1=0.5, b1=0.25, W2=-0.7, b2=0.1 -> z1=0.75, hidden=0.75, z2=-0.425
-    p = MlpParams(
-        W1=np.array([[0.5]]),
-        b1=np.array([0.25]),
-        W2=np.array([[-0.7]]),
-        b2=np.array([0.1]),
-    )
+    p = MlpParams(np.array([0.5, 0.25, -0.7, 0.1]), (1, 1, 1))  # W1, b1, W2, b2
     scores, cache = forward(p, np.array([[1.0]]))
     assert scores[0, 0] == pytest.approx(0.39532091528599067, abs=1e-15)
     g = backward(p, cache, np.array([[1.0]]))
@@ -180,7 +181,7 @@ def test_backward_zero_upstream_gives_zero_grads(rng):
     x = rng.normal(size=(5, 4))
     _, cache = forward(p, x)
     g = backward(p, cache, np.zeros((5, 2)))
-    assert all(np.all(a == 0.0) for a in g.arrays())
+    assert np.all(g.flat == 0.0)
 
 
 def test_backward_rejects_stale_cache(rng):
@@ -254,7 +255,8 @@ def test_parameter_gradients_match_finite_differences(mode):
 
     step = 1e-5
     worst = 0.0
-    for arr_a, arr_p in zip(analytic.arrays(), params.arrays()):
+    for arr_a, arr_p in ((analytic.W1, params.W1), (analytic.b1, params.b1),
+                         (analytic.W2, params.W2), (analytic.b2, params.b2)):
         fd = np.zeros_like(arr_p)
         for idx in np.ndindex(arr_p.shape):
             orig = arr_p[idx]
@@ -279,7 +281,7 @@ def test_zero_learning_rate_leaves_params_untouched():
     cfg = TrainConfig(hidden_width=16, learning_rate=0.0, epochs=2, seed=9)
     params, _ = train(d, d.taxonomy, cfg)
     fresh = init_params(d.n_features, 16, d.taxonomy.n_classes, seed=9)
-    assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), fresh.arrays()))
+    assert np.array_equal(params.flat, fresh.flat)
 
 
 def test_training_is_seed_deterministic():
@@ -288,7 +290,7 @@ def test_training_is_seed_deterministic():
     p1, log1 = train(d, d.taxonomy, cfg)
     p2, log2 = train(d, d.taxonomy, cfg)
     assert [e.jsonl_dict() for e in log1] == [e.jsonl_dict() for e in log2]
-    assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
+    assert np.array_equal(p1.flat, p2.flat)
 
 
 @pytest.mark.parametrize("mode", LOSS_MODES)
@@ -358,6 +360,9 @@ DEEP_CHECKS = [
     (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD),
      lambda: curriculum.select_classes(_agg(), 1, rule=curriculum.RULE_FIXED_THRESHOLD)),
     (dict(focal_gamma=-1.0), lambda: losses.focal_loss(_ones(), _ones(), gamma=-1.0)),
+    (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD, selection_thresh=math.nan),
+     lambda: curriculum.select_classes(_agg(), 1, rule=curriculum.RULE_FIXED_THRESHOLD,
+                                       thresh=math.nan)),
 ]
 
 
@@ -403,7 +408,27 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, p)
     q = load_checkpoint(path)
-    assert all(np.array_equal(a, b) for a, b in zip(p.arrays(), q.arrays()))
+    assert q.dims == p.dims and q.flat.tobytes() == p.flat.tobytes()
+
+
+def test_checkpoint_bytes_are_the_documented_layout(tmp_path):
+    # built by hand, so a writer and a reader that changed the layout
+    # together would still fail here
+    rng = np.random.default_rng(3)
+    d, h, c = 2, 3, 4
+    W1, b1, W2, b2 = (rng.normal(size=shape) for shape in ((d, h), (h,), (h, c), (c,)))
+    b2[0] = -0.0
+    expected = (mlp.CHECKPOINT_MAGIC + struct.pack("<QQQ", d, h, c)
+                + b"".join(a.astype("<f8").tobytes() for a in (W1, b1, W2, b2)))
+    flat = np.concatenate([a.ravel() for a in (W1, b1, W2, b2)])
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, MlpParams(flat, (d, h, c)))
+    assert path.read_bytes() == expected
+    path.write_bytes(expected)
+    q = load_checkpoint(path)
+    assert q.dims == (d, h, c)
+    for view, want in ((q.W1, W1), (q.b1, b1), (q.W2, W2), (q.b2, b2)):
+        assert view.shape == want.shape and view.tobytes() == want.tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -34,7 +34,7 @@ def test_random_taxonomy_is_valid():
     for seed in range(30):
         t = random_taxonomy(np.random.default_rng(seed))
         assert 1 <= t.n_classes <= 30
-        assert max(t.level) <= 5
+        assert t.max_level <= 5
 
 
 def test_selection_oracle_reports_rule_disagreement_rate():
@@ -52,7 +52,7 @@ def test_selection_oracle_reports_rule_disagreement_rate():
 def skip_deepest_level_transform(base, taxonomy, scope=losses.SCOPE_ALL_SHALLOWER):
     """Planted bug: classes at the deepest level are left untransformed."""
     out, routing = losses.hier_transform(base, taxonomy, scope=scope)
-    deepest = np.asarray(taxonomy.level) == max(taxonomy.level)
+    deepest = taxonomy.level == taxonomy.max_level
     out = out.copy()
     out[:, deepest] = np.asarray(base, dtype=np.float64)[:, deepest]
     routing = routing.copy()
