@@ -218,7 +218,7 @@ def _final_reports(params, d: data.Dataset, leaves_only: bool) -> dict:
     out = {}
     for name in data.SPLIT_NAMES:
         idx = d.indices(name)
-        scores, _ = mlp.forward(params, d.features[idx])
+        scores = mlp.forward(params, d.features[idx])[0]
         rep = metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
         out[name] = rep
     return out
@@ -317,7 +317,7 @@ def cmd_eval(args) -> int:
         x, y = d.features[idx], d.labels[idx]
     else:
         x, y = d.features, d.labels
-    scores, _ = mlp.forward(params, x)
+    scores = mlp.forward(params, x)[0]
     rep = metrics.evaluate(y, scores, d.taxonomy, leaves_only=leaves_only)
 
     payload = rep.to_json_dict()
@@ -355,7 +355,7 @@ def ablation_reports(d: data.Dataset, tc: mlp.TrainConfig, leaves_only: bool = F
     idx = d.indices("test")
     for arm in ABLATION_ARMS:
         params, _ = mlp.train(d, d.taxonomy, dataclasses.replace(tc, loss_mode=arm))
-        scores, _ = mlp.forward(params, d.features[idx])
+        scores = mlp.forward(params, d.features[idx])[0]
         yield arm, metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
 
 

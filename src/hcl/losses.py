@@ -294,7 +294,12 @@ def hier_transform_backward(routing, upstream) -> np.ndarray:
 
 
 def check_label_matrix(y, taxonomy: Taxonomy) -> np.ndarray:
-    """Validate a {-1,+1} label matrix: ancestor-closed, >=1 positive per row."""
+    """Validate a {-1,+1} label matrix: ancestor-closed, >=1 positive per row.
+
+    Closure is checked through the positives alone: each positive's parent
+    is read in the positive's own row, so the cost follows the positives,
+    not N x C. A failure names the orphaned class of smallest id. Returns
+    ``y`` itself (after ``np.asarray``)."""
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != taxonomy.n_classes:
         raise ValueError(f"label matrix shape {y.shape} does not match C={taxonomy.n_classes}")
@@ -305,10 +310,13 @@ def check_label_matrix(y, taxonomy: Taxonomy) -> np.ndarray:
     if not has_pos.all():
         bad = int(np.flatnonzero(~has_pos)[0])
         raise ValueError(f"example {bad} has no positive class")
-    children = np.flatnonzero(taxonomy.parent_ids != VIRTUAL_ROOT)
-    orphaned = (pos[:, children] & ~pos[:, taxonomy.parent_ids[children]]).any(axis=0)
-    if orphaned.any():
-        c = int(children[np.argmax(orphaned)])
+    # each positive's parent, read in the positive's own row (a top-level
+    # class's VIRTUAL_ROOT reads the last column, which the mask discards)
+    r, c = np.divmod(np.flatnonzero(pos), y.shape[1])
+    parent = taxonomy.parent_ids[c]
+    orphaned = c[(parent != VIRTUAL_ROOT) & ~pos[r, parent]]
+    if len(orphaned):
+        c = int(orphaned.min())
         raise ValueError(
             f"label matrix is not ancestor-closed: class "
             f"{taxonomy.class_names[c]!r} positive without its parent"

@@ -26,6 +26,16 @@ higher, or the same with a lower id; behind a NaN, every non-NaN column and
 every NaN of lower id. The rank of the first positive is that count for the
 best-ranked positive, the first column in the same order among the
 positives alone.
+
+The cost follows the misses, not the N x C matrix. The first positive has
+rank 1 exactly when it is the top class, so a row is a hit exactly when its
+top class is positive; a hit has reciprocal rank 1 and distance 0 with
+nothing more to compute. Only the rows that miss (and have a positive
+candidate) find their first positive and count the columns ahead of it,
+and only they read a root path. The top class itself is one ``np.argmax``
+per row. ``np.argmax`` stops at a row's first NaN, so a NaN at the argmax
+marks exactly the rows that hold one, and only those take the NaN-skipping
+form.
 """
 
 from __future__ import annotations
@@ -63,12 +73,16 @@ def _first_in_rank(scores, allowed=None) -> np.ndarray:
     """Each row's first column in rank order among the ``allowed`` ones
     (all columns when None); a row whose allowed scores are all NaN gives
     its first allowed column."""
-    s = scores if allowed is None else np.where(allowed, scores, np.nan)
+    if allowed is None:
+        first = np.argmax(scores, axis=1)
+        nan = np.flatnonzero(np.isnan(scores[np.arange(len(scores)), first]))
+        if len(nan):
+            first[nan] = _first_in_rank(scores[nan], ~np.isnan(scores[nan]))
+        return first
+    s = np.where(allowed, scores, np.nan)
     top = np.fmax.reduce(s, axis=1)
     first = np.argmax(s == top[:, None], axis=1)
-    if allowed is not None:
-        first = np.where(np.isnan(top), np.argmax(allowed, axis=1), first)
-    return first
+    return np.where(np.isnan(top), np.argmax(allowed, axis=1), first)
 
 
 def _rank_of(scores, col) -> np.ndarray:
@@ -88,28 +102,36 @@ def evaluate(
 ) -> EvalReport:
     """Compute all metrics in one ranking pass."""
     y = check_label_matrix(y, taxonomy)
+    if len(y) == 0:
+        raise ValueError("cannot evaluate a label matrix with no rows")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != y.shape:
         raise ValueError(f"score shape {scores.shape} does not match labels {y.shape}")
-    sc, pos = scores, y == 1
+    sc, yc = scores, y
     if leaves_only:
+        # take keeps rows contiguous; a fancy column index gives F order
         cand = taxonomy.leaf_ids
-        sc, pos = scores[:, cand], pos[:, cand]
-    ex = np.arange(len(y))
+        sc, yc = scores.take(cand, axis=1), y.take(cand, axis=1)
     top1 = _first_in_rank(sc)
+    ex = np.arange(len(y))
+    # 1-based rank of the first positive: 1 on a hit; on a miss, 0 when no
+    # candidate is positive (possible only under a leaves-only restriction)
+    first = (yc[ex, top1] == 1).astype(np.int64)
+    miss = np.flatnonzero(first == 0)
+    pos = yc[miss] == 1
+    ranked = pos.any(axis=1)
+    sub = sc[miss[ranked]]
+    first[miss[ranked]] = _rank_of(sub, _first_in_rank(sub, pos[ranked]))
     if leaves_only:
         top1 = cand[top1]
-    # 1-based rank of the first positive; 0 when no candidate is positive
-    # (possible only under a leaves-only restriction)
-    first = np.where(pos.any(axis=1), _rank_of(sc, _first_in_rank(sc, pos)), 0)
     hits = (first == 1).astype(np.float64)
     rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
     # the positives on the prediction's root path are a prefix of it
-    path = taxonomy.path_ids[top1]
-    depth = ((y[ex[:, None], path] == 1) & (path != VIRTUAL_ROOT)).sum(axis=1)
-    deepest = path[ex, np.maximum(depth - 1, 0)]
-    dist = np.where(depth > 0, taxonomy.heights[deepest], taxonomy.max_level)
-    dist = np.where(hits > 0, 0, dist).astype(np.float64)
+    dist = np.zeros(len(y))
+    path = taxonomy.path_ids[top1[miss]]
+    depth = ((y[miss[:, None], path] == 1) & (path != VIRTUAL_ROOT)).sum(axis=1)
+    deepest = path[np.arange(len(miss)), np.maximum(depth - 1, 0)]
+    dist[miss] = np.where(depth > 0, taxonomy.heights[deepest], taxonomy.max_level)
     rows = None
     if per_example:
         rows = [

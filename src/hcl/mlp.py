@@ -292,6 +292,8 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     idx_valid = dataset.indices("valid")
     if len(idx_train) == 0:
         raise ValueError("train split is empty")
+    if len(idx_valid) == 0:
+        raise ValueError("valid split is empty")
     x_tr = dataset.features[idx_train]
     y_tr = dataset.labels[idx_train]
     x_va = dataset.features[idx_valid]
@@ -332,7 +334,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
             grads = backward(params, cache, dscores)
             opt.step(params, grads)
 
-        scores_tr, _ = forward(params, x_tr)
+        scores_tr = forward(params, x_tr)[0]
         value, s = curriculum.hcl_loss(
             y_tr, scores_tr, taxonomy, spec,
             gamma=cfg.focal_gamma,
@@ -347,7 +349,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
                 f"non-finite training loss {train_loss!r} at epoch {epoch} "
                 f"(loss_mode={cfg.loss_mode}, lr={cfg.learning_rate})"
             )
-        scores_va, _ = forward(params, x_va)
+        scores_va = forward(params, x_va)[0]
         report = metrics.evaluate(y_va, scores_va, taxonomy)
         log.append(EpochLog(
             epoch=epoch,

@@ -9,12 +9,12 @@ specs in ``curriculum`` replaced, the two-branch ``np.where`` bce loss and
 gradient, the float 0-1 surface that the epoch-end pass summed, the
 training loop that allocated each dropout mask afresh, the parent-walking
 tree queries that the ``Taxonomy.path_ids`` table replaced, the per-example
-ranking and LCA loops of ``metrics.evaluate``, and the per-class loops of
-label closure and of the native label writer. The tree references read
-each class's parent, children and level off its path string
-(``tree_from_names``), not off the ``Taxonomy`` arrays under test. The fast
-paths keep their arithmetic, so every comparison is bitwise
-(``np.array_equal``), not within a tolerance.
+ranking and LCA loops of ``metrics.evaluate``, the column-gather check of
+``losses.check_label_matrix``, and the per-class loops of label closure and
+of the native label writer. The tree references read each class's parent,
+children and level off its path string (``tree_from_names``), not off the
+``Taxonomy`` arrays under test. The fast paths keep their arithmetic, so
+every comparison is bitwise (``np.array_equal``), not within a tolerance.
 """
 
 import json
@@ -843,10 +843,136 @@ def test_evaluate_matches_retired_per_example_loops(seed, leaves_only):
     tax = _big_forest(rng)
     n = int(rng.integers(1, 30))
     y, scores = _edge_rows(rng, tax, n)
+    _check_evaluate(y, scores, tax, leaves_only)
+
+
+def _wide_forest(rng):
+    """A random forest of at least 100 classes."""
+    while True:
+        tax = verify.random_taxonomy(rng, max_classes=160, max_depth=6)
+        if tax.n_classes >= 100:
+            return tax
+
+
+def _scores_with_top(rng, y, want_hit):
+    """Uniform scores, NaN on about a tenth of the entries, and one column
+    per row lifted to 2.0: a positive where ``want_hit[i]``, else a negative.
+    Rows with no negative take a positive either way."""
+    scores = rng.uniform(0.0, 1.0, size=y.shape)
+    scores[rng.random(y.shape) < 0.1] = np.nan
+    for i, hit in enumerate(want_hit):
+        pool = np.flatnonzero((y[i] == 1) == hit)
+        if len(pool) == 0:
+            pool = np.flatnonzero(y[i] == 1)
+        scores[i, rng.choice(pool)] = 2.0
+    return scores
+
+
+def _check_evaluate(y, scores, tax, leaves_only):
     report = metrics.evaluate(y, scores, tax, leaves_only=leaves_only, per_example=True)
     hit, rr, dist, rows = slow_evaluate(y, scores, tax, leaves_only)
     assert (report.hit_at_1, report.mrr, report.hier_dist) == (hit, rr, dist)
     assert report.per_example == rows
+    return report
+
+
+@pytest.mark.parametrize("kind", ("all-hit", "all-miss", "mixed"))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_evaluate_matches_retired_loops_on_hits_and_misses(seed, kind):
+    rng = np.random.default_rng(seed)
+    tax = _wide_forest(rng)
+    n = int(rng.integers(1, 40))
+    y = slow_close_labels(_random_positives(rng, tax, n), tax)
+    want_hit = {"all-hit": np.ones(n, bool), "all-miss": np.zeros(n, bool),
+                "mixed": rng.random(n) < 0.5}[kind]
+    report = _check_evaluate(y, _scores_with_top(rng, y, want_hit), tax, leaves_only=False)
+    if kind != "mixed":
+        assert report.hit_at_1 == want_hit[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_evaluate_leaves_only_without_a_positive_leaf(seed):
+    rng = np.random.default_rng(seed)
+    tax = _wide_forest(rng)
+    inner = np.flatnonzero(tax.heights > 0)
+    n = int(rng.integers(1, 30))
+    y = slow_close_labels([[int(rng.choice(inner))] for _ in range(n)], tax)
+    scores = rng.choice([np.nan, 0.0, 0.25, 0.5, 1.0], size=y.shape)
+    report = _check_evaluate(y, scores, tax, leaves_only=True)
+    assert report.hit_at_1 == report.mrr == 0.0
+    assert [first for _, first, _ in report.per_example] == [0] * n
+
+
+# ---------------------------------------------------------------------------
+# label-matrix check
+# ---------------------------------------------------------------------------
+
+
+def slow_check_label_matrix(y, tax):
+    """The retired check: each non-root class's column gathered against its
+    parent's column, the parent read off the path strings."""
+    parent = tree_from_names(tax).parent
+    y = np.asarray(y)
+    if y.ndim != 2 or y.shape[1] != tax.n_classes:
+        raise ValueError(f"label matrix shape {y.shape} does not match C={tax.n_classes}")
+    pos = y == 1
+    if not (pos | (y == -1)).all():
+        raise ValueError("label matrix entries must be -1 or +1")
+    has_pos = pos.any(axis=1)
+    if not has_pos.all():
+        bad = int(np.flatnonzero(~has_pos)[0])
+        raise ValueError(f"example {bad} has no positive class")
+    children = np.asarray([c for c, p in enumerate(parent) if p is not None], dtype=np.int64)
+    parents = np.asarray([parent[c] for c in children], dtype=np.int64)
+    orphaned = (pos[:, children] & ~pos[:, parents]).any(axis=0)
+    if orphaned.any():
+        c = int(children[np.argmax(orphaned)])
+        raise ValueError(
+            f"label matrix is not ancestor-closed: class "
+            f"{tax.class_names[c]!r} positive without its parent"
+        )
+    return y
+
+
+def _outcome(check, y, tax):
+    """``check``'s result: True when it returns ``y`` itself, else its message."""
+    try:
+        return check(y, tax) is y
+    except ValueError as exc:
+        return str(exc)
+
+
+def _corrupt_labels(rng, y, tax):
+    """Closed labels with, at random: orphans made by clearing the parents of
+    positives at several depths, entries other than +-1, or rows with no
+    positive."""
+    y = y.copy()
+    kind = int(rng.integers(0, 4))
+    if kind == 1:
+        r, c = np.nonzero(y == 1)
+        deep = np.flatnonzero(tax.parent_ids[c] != VIRTUAL_ROOT)
+        for k in rng.choice(deep, size=min(len(deep), int(rng.integers(1, 4))), replace=False):
+            y[r[k], tax.parent_ids[c[k]]] = -1
+    elif kind == 2:
+        bad = [0, 2, -2, 127] if y.dtype == np.int8 else [0.0, 0.5, 2.0, np.nan, np.inf]
+        y[rng.integers(0, len(y)), rng.integers(0, tax.n_classes)] = rng.choice(bad)
+    elif kind == 3:
+        y[rng.integers(0, len(y))] = -1
+    return y
+
+
+@pytest.mark.parametrize("dtype", (np.int8, np.float64, np.float32))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_label_check_matches_retired_column_gather(seed, dtype):
+    rng = np.random.default_rng(seed)
+    tax = _big_forest(rng)
+    positives = _random_positives(rng, tax, int(rng.integers(1, 30)))
+    y = _corrupt_labels(rng, slow_close_labels(positives, tax).astype(dtype), tax)
+    want = _outcome(slow_check_label_matrix, y, tax)
+    assert _outcome(losses.check_label_matrix, y, tax) == want
 
 
 def _lexsort_rows(scores):

@@ -91,6 +91,12 @@ def test_metrics_reject_shape_mismatch(abc_taxonomy):
         evaluate(y, np.array([[0.5, 0.4]]), abc_taxonomy)
 
 
+@pytest.mark.parametrize("leaves_only", (False, True))
+def test_metrics_reject_zero_rows(abc_taxonomy, leaves_only):
+    with pytest.raises(ValueError, match="no rows"):
+        evaluate(np.empty((0, 3)), np.empty((0, 3)), abc_taxonomy, leaves_only=leaves_only)
+
+
 # ---------------------------------------------------------------------------
 # LCA-height distance
 # ---------------------------------------------------------------------------

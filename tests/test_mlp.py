@@ -321,6 +321,13 @@ def test_train_rejects_empty_train_split():
         train(d, d.taxonomy, TrainConfig(hidden_width=4, epochs=1))
 
 
+def test_train_rejects_empty_valid_split():
+    d = tiny_dataset()
+    d.split_tags = np.where(d.split_tags == 1, 0, d.split_tags)  # valid rows join train
+    with pytest.raises(ValueError, match="valid split is empty"):
+        train(d, d.taxonomy, TrainConfig(hidden_width=4, epochs=1))
+
+
 def test_train_reports_divergence():
     d = tiny_dataset()
     with np.errstate(all="ignore"):
