@@ -65,12 +65,16 @@ def validate_dataset(d: Dataset) -> Dataset:
     return d
 
 
-def close_labels(positives_per_row, taxonomy: Taxonomy) -> np.ndarray:
-    """Encode per-row positive class-id lists as an ancestor-closed +-1 matrix."""
-    y = np.full((len(positives_per_row), taxonomy.n_classes), -1, dtype=np.int8)
-    ids = np.fromiter((c for pos in positives_per_row for c in pos), dtype=np.int64)
-    rows = np.repeat(np.arange(len(y)), [len(pos) for pos in positives_per_row])
-    paths = taxonomy.path_ids[ids]  # each positive's root path, itself included
+def close_labels(rows, ids, n_rows: int, taxonomy: Taxonomy) -> np.ndarray:
+    """Encode positives as an ancestor-closed +-1 matrix of ``n_rows`` rows.
+
+    ``rows[k]`` and ``ids[k]`` give the k-th positive: its example row and
+    its class id. A row may hold several positives, repeats and ancestors of
+    its own positives, or none.
+    """
+    y = np.full((n_rows, taxonomy.n_classes), -1, dtype=np.int8)
+    rows = np.asarray(rows, dtype=np.int64)
+    paths = taxonomy.path_ids[np.asarray(ids, dtype=np.int64)]  # root paths, self included
     on_path = paths != VIRTUAL_ROOT
     y[np.broadcast_to(rows[:, None], paths.shape)[on_path], paths[on_path]] = 1
     return y
@@ -135,7 +139,8 @@ def parse_arff_hmc(path) -> Dataset:
     taxonomy = parse_hierarchy(class_domain)
     n_feat = len(feature_names)
     features = np.empty((len(data_rows), n_feat), dtype=np.float64)
-    positives = []
+    label_rows: list[int] = []
+    label_ids: list[int] = []
     for i, row in enumerate(data_rows):
         fields = [f.strip() for f in row.split(",")]
         if len(fields) < n_feat + 1:
@@ -150,8 +155,10 @@ def parse_arff_hmc(path) -> Dataset:
         paths = [p.strip() for f in fields[n_feat:] for p in f.split("@") if p.strip()]
         if not paths:
             raise ValueError(f"row {i}: no label paths")
-        positives.append(_paths_to_ids(paths, taxonomy, i))
-    labels = close_labels(positives, taxonomy)
+        ids = _paths_to_ids(paths, taxonomy, i)
+        label_rows += [i] * len(ids)
+        label_ids += ids
+    labels = close_labels(label_rows, label_ids, len(data_rows), taxonomy)
     return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))
 
 
@@ -181,13 +188,16 @@ def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
         raise ValueError(
             f"row count mismatch: {len(rows)} feature rows vs {len(label_lines)} label lines"
         )
-    positives = []
+    label_rows: list[int] = []
+    label_ids: list[int] = []
     for i, line in enumerate(label_lines):
         paths = [p.strip() for p in line.split(";") if p.strip()]
         if not paths:
             raise ValueError(f"row {i}: empty label line")
-        positives.append(_paths_to_ids(paths, taxonomy, i))
-    labels = close_labels(positives, taxonomy)
+        ids = _paths_to_ids(paths, taxonomy, i)
+        label_rows += [i] * len(ids)
+        label_ids += ids
+    labels = close_labels(label_rows, label_ids, len(label_lines), taxonomy)
     return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))
 
 
@@ -315,8 +325,10 @@ class SynthConfig:
             raise ValueError(f"branching must be >= 1, got {self.branching}")
         if self.examples_per_leaf < 1 or self.feature_dim < 1:
             raise ValueError("examples_per_leaf and feature_dim must be positive")
-        if self.cluster_separation <= 0:
-            raise ValueError(f"cluster_separation must be > 0, got {self.cluster_separation}")
+        if not 0 < self.cluster_separation < np.inf:
+            raise ValueError(
+                f"cluster_separation must be finite and > 0, got {self.cluster_separation}"
+            )
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError(f"label_noise must lie in [0, 0.5), got {self.label_noise}")
 
@@ -331,6 +343,25 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     far apart and sibling leaves overlap. ``label_noise`` relabels an
     example to a sibling leaf while its features stay with the original
     cluster, corrupting only the deepest label level.
+
+    The dataset is a pure function of the config, through this draw order
+    from one generator seeded with ``seed``:
+
+    1. one direction of ``feature_dim`` standard normals per class, in
+       class-id (lexicographic path) order;
+    2. per example, leaf by leaf in id order and ``examples_per_leaf``
+       examples per leaf: ``feature_dim`` standard normals of noise; then,
+       when ``label_noise > 0`` and the leaf has siblings, one ``random()``;
+       and when that falls below ``label_noise``, one ``integers()`` that
+       picks the sibling in id order.
+
+    A generator fills an (m, k) block from the same stream, in the same
+    order, as m successive draws of k values. So step 1 is one block draw,
+    and so is step 2 when it draws no label noise; with label noise the
+    per-example loop keeps the interleaved calls. The rest is elementwise,
+    so no value depends on whether its row is computed alone or in a
+    block, except a direction's norm: that is taken per row, because a
+    whole-array norm sums in another order.
     """
     rng = np.random.default_rng(cfg.seed)
     depth = cfg.levels - 1  # class levels
@@ -345,33 +376,35 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
                 nxt.append(p)
         frontier = nxt
     taxonomy = parse_hierarchy(paths)
+    n_classes, dim = taxonomy.n_classes, cfg.feature_dim
 
-    # centers keyed by path; direction draws in lexicographic class order so
-    # the dataset is a pure function of the config
-    centers = {"": np.zeros(cfg.feature_dim)}
-    for name in taxonomy.class_names:
-        parts = name.split("/")
-        parent = "/".join(parts[:-1])
-        direction = rng.standard_normal(cfg.feature_dim)
+    directions = rng.standard_normal((n_classes, dim))
+    for direction in directions:
         direction /= np.linalg.norm(direction)
-        scale = cfg.cluster_separation * 0.5 ** (len(parts) - 1)
-        centers[name] = centers[parent] + scale * direction
+    # one row per class plus a last one, row VIRTUAL_ROOT, as the origin
+    centers = np.zeros((n_classes + 1, dim))
+    for lvl, ids in enumerate(taxonomy.levels_index[1:], start=1):
+        scale = cfg.cluster_separation * 0.5 ** (lvl - 1)
+        centers[ids] = centers[taxonomy.parent_ids[ids]] + scale * directions[ids]
 
-    n = len(taxonomy.leaf_ids) * cfg.examples_per_leaf
-    features = np.empty((n, cfg.feature_dim))
-    positives = []
-    row = 0
-    for leaf in taxonomy.leaf_ids:
-        # the other children of the leaf's parent, the virtual root included
-        siblings = np.flatnonzero(taxonomy.parent_ids == taxonomy.parent_ids[leaf])
-        siblings = siblings[siblings != leaf]
-        for _ in range(cfg.examples_per_leaf):
-            features[row] = (centers[taxonomy.class_names[leaf]]
-                             + FEATURE_NOISE_SCALE * rng.standard_normal(cfg.feature_dim))
-            labeled = leaf
-            if cfg.label_noise > 0 and len(siblings) and rng.random() < cfg.label_noise:
-                labeled = siblings[rng.integers(len(siblings))]
-            positives.append([labeled])
-            row += 1
-    labels = close_labels(positives, taxonomy)
+    origin = np.repeat(taxonomy.leaf_ids, cfg.examples_per_leaf)  # each example's leaf
+    n = len(origin)
+    labeled = origin.copy()
+    # in the complete tree every leaf has branching - 1 siblings
+    if cfg.label_noise > 0 and cfg.branching > 1:
+        features = np.empty((n, dim))
+        parent_ids = taxonomy.parent_ids
+        for i, leaf in enumerate(origin.tolist()):
+            rng.standard_normal(out=features[i])
+            if rng.random() < cfg.label_noise:
+                # the other children of the leaf's parent, the virtual root included
+                siblings = np.flatnonzero(parent_ids == parent_ids[leaf])
+                siblings = siblings[siblings != leaf]
+                labeled[i] = siblings[rng.integers(len(siblings))]
+    else:
+        features = rng.standard_normal((n, dim))
+    # the noise becomes the features in place; addition commutes bitwise
+    features *= FEATURE_NOISE_SCALE
+    features += centers[origin]
+    labels = close_labels(np.arange(n), labeled, n, taxonomy)
     return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))

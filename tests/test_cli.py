@@ -249,6 +249,17 @@ def test_synth_rejects_out_of_range_label_noise(tmp_path, capsys):
     assert "label_noise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ("inf", "nan", "-inf"))
+def test_synth_rejects_non_finite_separation(tmp_path, capsys, value):
+    out = tmp_path / "x"
+    # a numpy RuntimeWarning on the way fails the test (filterwarnings in pyproject.toml)
+    rc = cli.main(["synth", "--out", str(out), f"--separation={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: cluster_separation must be finite and > 0, got {value}"]
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_a_usage_error_listing_valid_keys(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "r"), "--set", "nope=1"])
     assert rc == 2

@@ -186,7 +186,7 @@ def test_parse_native_direct_paths(tmp_path):
 
 def test_close_labels_adds_all_ancestors():
     t = parse_hierarchy(["a", "a/b", "a/b/c"])
-    y = close_labels([[t.id_of("a/b/c")]], t)
+    y = close_labels([0], [t.id_of("a/b/c")], 1, t)
     assert y.tolist() == [[1, 1, 1]]
 
 
@@ -338,6 +338,13 @@ def test_synth_config_validation():
         SynthConfig(cluster_separation=0.0)
     with pytest.raises(ValueError):
         SynthConfig(examples_per_leaf=0)
+
+
+@pytest.mark.parametrize("separation", (np.nan, np.inf, -np.inf))
+def test_synth_config_rejects_non_finite_separation(separation):
+    msg = f"cluster_separation must be finite and > 0, got {separation}"
+    with pytest.raises(ValueError, match=msg):
+        SynthConfig(cluster_separation=separation)
 
 
 def test_dataset_validation_catches_broken_labels():

@@ -10,11 +10,12 @@ gradient, the float 0-1 surface that the epoch-end pass summed, the
 training loop that allocated each dropout mask afresh, the parent-walking
 tree queries that the ``Taxonomy.path_ids`` table replaced, the per-example
 ranking and LCA loops of ``metrics.evaluate``, the column-gather check of
-``losses.check_label_matrix``, and the per-class loops of label closure and
-of the native label writer. The tree references read each class's parent,
-children and level off its path string (``tree_from_names``), not off the
-``Taxonomy`` arrays under test. The fast paths keep their arithmetic, so
-every comparison is bitwise (``np.array_equal``), not within a tolerance.
+``losses.check_label_matrix``, the per-class loops of label closure and
+of the native label writer, and the per-example synthetic generator. The
+tree references read each class's parent, children and level off its path
+string (``tree_from_names``), not off the ``Taxonomy`` arrays under test.
+The fast paths keep their arithmetic, so every comparison is bitwise
+(``np.array_equal``), not within a tolerance.
 """
 
 import json
@@ -754,6 +755,40 @@ def slow_close_labels(positives_per_row, tax):
     return y
 
 
+def slow_synth_generate(cfg):
+    """The retired per-example generator: a dict of centers keyed by path,
+    one draw per direction and per example row, positives as per-row lists
+    closed by the nested loop. Class order, leaves and siblings are read
+    off the path strings."""
+    rng = np.random.default_rng(cfg.seed)
+    frontier, names = [""], []
+    for _ in range(cfg.levels - 1):
+        frontier = [f"{p}/{k}" if p else f"{k}" for p in frontier for k in range(cfg.branching)]
+        names += frontier
+    names = sorted(names)
+    ids = {name: i for i, name in enumerate(names)}
+    centers = {"": np.zeros(cfg.feature_dim)}
+    for name in names:
+        parts = name.split("/")
+        direction = rng.standard_normal(cfg.feature_dim)
+        direction /= np.linalg.norm(direction)
+        scale = cfg.cluster_separation * 0.5 ** (len(parts) - 1)
+        centers[name] = centers["/".join(parts[:-1])] + scale * direction
+    leaves = [name for name in names if name.count("/") == cfg.levels - 2]
+    features, positives = [], []
+    for leaf in leaves:
+        parent = leaf.rpartition("/")[0]
+        siblings = [ids[s] for s in leaves if s.rpartition("/")[0] == parent and s != leaf]
+        for _ in range(cfg.examples_per_leaf):
+            features.append(centers[leaf]
+                            + data.FEATURE_NOISE_SCALE * rng.standard_normal(cfg.feature_dim))
+            labeled = ids[leaf]
+            if cfg.label_noise > 0 and siblings and rng.random() < cfg.label_noise:
+                labeled = siblings[rng.integers(len(siblings))]
+            positives.append([labeled])
+    return np.array(features), slow_close_labels(positives, parse_hierarchy(names)), tuple(names)
+
+
 def slow_native_label_lines(labels, tax):
     """The retired per-child scan: a positive is listed unless a child is."""
     children = tree_from_names(tax).children
@@ -1016,9 +1051,29 @@ def test_close_labels_matches_nested_loop(seed):
     rng = np.random.default_rng(seed)
     tax = _big_forest(rng)
     positives = _random_positives(rng, tax, int(rng.integers(0, 30)), allow_empty=True)
-    y = data.close_labels(positives, tax)
+    rows = np.array([i for i, pos in enumerate(positives) for _ in pos], dtype=np.int64)
+    ids = np.array([c for pos in positives for c in pos], dtype=np.int64)
+    order = rng.permutation(len(ids))  # closure must not depend on the pairs' order
+    y = data.close_labels(rows[order], ids[order], len(positives), tax)
     ref = slow_close_labels(positives, tax)
     assert y.dtype == ref.dtype and np.array_equal(y, ref)
+
+
+@pytest.mark.parametrize("label_noise", (0.0, 0.05, 0.3))
+# branching 1: no leaf has a sibling, so no label-noise draw; levels 2: the
+# siblings are the other top-level classes; branching 11: id order is not
+# numeric order ("10" < "2")
+@pytest.mark.parametrize("levels, branching", ((2, 1), (2, 5), (3, 1), (3, 3), (3, 11), (5, 2)))
+def test_synth_generate_matches_retired_per_example_loop(label_noise, levels, branching):
+    for dim, per_leaf, seed in ((1, 1, 0), (3, 4, 7), (16, 2, 123), (40, 3, 5)):
+        cfg = data.SynthConfig(levels=levels, branching=branching, examples_per_leaf=per_leaf,
+                               feature_dim=dim, label_noise=label_noise, seed=seed)
+        d = data.synth_generate(cfg)
+        features, labels, names = slow_synth_generate(cfg)
+        assert d.features.dtype == features.dtype and d.features.shape == features.shape
+        assert d.features.tobytes() == features.tobytes()
+        assert d.labels.dtype == labels.dtype and np.array_equal(d.labels, labels)
+        assert d.taxonomy.class_names == names
 
 
 def test_emit_native_labels_match_per_child_scan(tmp_path):
