@@ -5,8 +5,11 @@ hierarchy (deeper predictions can never score a smaller loss than shallower
 ones), selects which classes to train on by solving a small min-max
 objective exactly, and wraps both in a from-scratch multi-label MLP with
 hierarchy-aware evaluation metrics.
+
+Importing the package fixes glibc's mmap threshold (see ``hcl._malloc``).
 """
 
+from ._malloc import fix_mmap_threshold
 from .curriculum import (
     LOSS_MODES,
     LOSS_PRESETS,
@@ -100,3 +103,6 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+fix_mmap_threshold()
