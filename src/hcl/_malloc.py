@@ -14,7 +14,9 @@ With the threshold fixed at 4 MiB (which also stops it from rising), each
 block of that size or more is its own mapping, as numpy's
 transparent-hugepage advice for blocks of 4 MiB or more assumes. On a 2-core
 x86-64 VM this made ``wide`` epochs about 19% and scoring passes about 23%
-faster, and its peak RSS 141 MB in every run.
+faster, and its peak RSS 141 MB in every run. That figure was measured
+while training still kept the previous epoch's scores and the last batch's
+gradients live through each epoch-end pass; without them it reads 115 MB.
 
 The environment's own setting wins: nothing is changed when
 ``MALLOC_MMAP_THRESHOLD_`` or a ``glibc.malloc.mmap_threshold`` tunable is

@@ -356,7 +356,9 @@ def ablation_reports(d: data.Dataset, tc: mlp.TrainConfig, leaves_only: bool = F
     for arm in ABLATION_ARMS:
         params, _ = mlp.train(d, d.taxonomy, dataclasses.replace(tc, loss_mode=arm))
         scores = mlp.forward(params, d.features[idx])[0]
-        yield arm, metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
+        report = metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
+        del params, scores  # not live through the next arm's training
+        yield arm, report
 
 
 def cmd_ablate(args) -> int:

@@ -7,7 +7,10 @@ generator in a fixed order. The loss mode names a preset of
 selection vector once per epoch from a full eval-mode pass over the train
 split; the same pass provides the logged training loss, a per-example mean
 of the spec's (transformed) base loss, or of the curriculum objective when
-the spec has the curriculum.
+the spec has the curriculum. That pass finds only the parameters, the
+optimizer state, the split arrays and the dropout buffers live: the last
+batch's arrays are dropped after the batch loop and the split scores are
+never bound to a name, so every epoch peaks where the first does.
 
 A forward pass allocates only ``hidden``, ``scores`` (plus the scaled mask
 under dropout) and small per-block scratch, and gives the same bits as
@@ -298,6 +301,9 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     y_tr = dataset.labels[idx_train]
     x_va = dataset.features[idx_valid]
     y_va = dataset.labels[idx_valid]
+    # checked once here: the per-epoch evaluation skips the check
+    losses.check_label_matrix(y_tr, taxonomy)
+    losses.check_label_matrix(y_va, taxonomy)
 
     spec = curriculum.LOSS_PRESETS[cfg.loss_mode]
     rng = np.random.default_rng(cfg.seed)
@@ -333,10 +339,10 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
             ) / len(batch)
             grads = backward(params, cache, dscores)
             opt.step(params, grads)
+        del scores, cache, dscores, grads  # not live through the epoch-end pass
 
-        scores_tr = forward(params, x_tr)[0]
         value, s = curriculum.hcl_loss(
-            y_tr, scores_tr, taxonomy, spec,
+            y_tr, forward(params, x_tr)[0], taxonomy, spec,
             gamma=cfg.focal_gamma,
             scope=cfg.transform_scope,
             decision_threshold=cfg.decision_threshold,
@@ -349,8 +355,8 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
                 f"non-finite training loss {train_loss!r} at epoch {epoch} "
                 f"(loss_mode={cfg.loss_mode}, lr={cfg.learning_rate})"
             )
-        scores_va = forward(params, x_va)[0]
-        report = metrics.evaluate(y_va, scores_va, taxonomy)
+        report = metrics.evaluate(y_va, forward(params, x_va)[0], taxonomy,
+                                  _labels_checked=True)
         log.append(EpochLog(
             epoch=epoch,
             loss=train_loss,

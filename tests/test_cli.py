@@ -7,13 +7,14 @@ it writes, so exit codes, stdout/stderr and file layouts are all covered.
 import json
 import filecmp
 import struct
+import weakref
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hcl import cli, data, mlp
+from hcl import cli, data, metrics, mlp
 
 EPOCH_KEYS = {"epoch", "loss", "hit1", "mrr", "hierdist", "selected_classes"}
 
@@ -204,6 +205,30 @@ def test_ablate_writes_schema_valid_table_and_markdown(tmp_path):
     assert md[0] == "# Ablation: synthetic"
     assert md[2].startswith("| Loss |")
     assert len([line for line in md if line.startswith("| ")]) == 6  # header+rule+4 rows
+
+
+def test_ablation_drops_each_arm_before_the_next_one_trains(monkeypatch):
+    cfg = cli.resolve_config(None, [("levels", "2"), ("branching", "2"),
+                                    ("examples_per_leaf", "12"), ("feature_dim", "6"),
+                                    ("hidden_width", "16"), ("epochs", "1")])
+    d = cli.build_dataset(cfg)
+    live = []  # weak references to the last arm's parameters and test scores
+    train, evaluate = mlp.train, metrics.evaluate
+
+    def spy_train(*args):
+        assert all(ref() is None for ref in live)
+        params, log = train(*args)
+        live[:] = [weakref.ref(params)]
+        return params, log
+
+    def spy_evaluate(y, scores, *args, **kwargs):
+        live.append(weakref.ref(scores))
+        return evaluate(y, scores, *args, **kwargs)
+
+    monkeypatch.setattr(cli.mlp, "train", spy_train)
+    monkeypatch.setattr(cli.metrics, "evaluate", spy_evaluate)
+    arms = [arm for arm, _ in cli.ablation_reports(d, cli.train_config(cfg))]
+    assert arms == list(cli.ABLATION_ARMS) and len(live) == 2
 
 
 def test_verify_reports_all_properties_hold(capsys):

@@ -2,12 +2,13 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hcl import curriculum, losses, mlp
-from hcl.data import SynthConfig, normalize, split, synth_generate
+from hcl import curriculum, losses, metrics, mlp
+from hcl.data import Dataset, SynthConfig, normalize, split, synth_generate
 from hcl.mlp import (
     LOSS_MODES,
     MlpParams,
@@ -334,6 +335,51 @@ def test_train_reports_divergence():
         d.features = d.features * 1e308  # overflow the first matmul
         with pytest.raises(TrainingDiverged, match="non-finite"):
             train(d, d.taxonomy, TrainConfig(hidden_width=16, epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("split_name", ("train", "valid"))
+def test_train_rejects_labels_that_are_not_ancestor_closed(split_name):
+    d = tiny_dataset()
+    y = d.labels.copy()
+    row = d.indices(split_name)[0]
+    leaf = int(np.flatnonzero(y[row] == 1).max())  # a deepest positive
+    y[row, d.taxonomy.parent_ids[leaf]] = -1
+    bad = Dataset(features=d.features, labels=y, taxonomy=d.taxonomy, split_tags=d.split_tags)
+    with pytest.raises(ValueError, match="not ancestor-closed"):
+        train(bad, bad.taxonomy, TrainConfig(hidden_width=4, epochs=1))
+
+
+def test_train_checks_the_labels_once_not_every_epoch(monkeypatch):
+    d = tiny_dataset()
+    calls, check = [], losses.check_label_matrix
+
+    def counted(y, taxonomy):
+        calls.append(len(y))
+        return check(y, taxonomy)
+
+    monkeypatch.setattr(mlp.losses, "check_label_matrix", counted)
+    monkeypatch.setattr(metrics, "check_label_matrix", counted)
+    train(d, d.taxonomy, TrainConfig(hidden_width=4, epochs=3))
+    assert sorted(calls) == sorted([len(d.indices("train")), len(d.indices("valid"))])
+
+
+def test_training_peak_memory_does_not_grow_after_the_first_epoch():
+    # what the epoch-end pass allocates must not come on top of the
+    # previous epoch's scores or the last batch's gradients
+    d = synth_generate(SynthConfig(levels=3, branching=6, examples_per_leaf=5, feature_dim=8))
+    d, _ = normalize(split(d, seed=0))
+
+    def traced_peak(epochs):
+        tracemalloc.start()
+        try:
+            train(d, d.taxonomy, TrainConfig(hidden_width=16, epochs=epochs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    train(d, d.taxonomy, TrainConfig(hidden_width=16, epochs=1))  # lazy set-up outside the trace
+    score_block = len(d.indices("train")) * d.taxonomy.n_classes * 8
+    assert traced_peak(3) - traced_peak(1) < score_block / 2
 
 
 def test_train_config_validation():
