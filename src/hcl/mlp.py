@@ -30,10 +30,16 @@ row-major), b1, W2 (H x C, row-major), b2, the checkpoint's order. The four
 named arrays are views of it, so the optimizer steps one vector, a
 checkpoint is one write and one read, and ``backward`` returns its
 gradients in the same layout. ``backward`` writes each product and column
-sum into its view of a fresh vector with ``out=``. That only says where the
-result goes: every view is C-contiguous and overlaps no operand, so numpy
-runs the same BLAS call and the same reduction as it would into a new
-array, and the bits are the same.
+sum into its view of a gradient vector that the caller passes, with
+``out=``. That only says where the result goes: every view is C-contiguous
+and overlaps no operand, so numpy runs the same BLAS call and the same
+reduction as it would into a new array, and the four writes cover the
+whole vector, so the bits are those of a fresh one. ``train`` allocates one
+gradient vector per epoch, fills it on every batch and drops it with the
+last batch's arrays before the epoch-end pass, so no batch asks the
+allocator for (and faults in) a vector of its own (see ``_malloc``). The
+batch's rows go too: allocated after the vector, they would keep its freed
+pages resident through the pass.
 """
 
 from __future__ import annotations
@@ -200,15 +206,18 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
     return scores, cache
 
 
-def backward(params: MlpParams, cache: ForwardCache, dscores) -> MlpParams:
-    """Exact reverse-mode gradients in a fresh MlpParams (see the module
-    docstring for why ``out=`` leaves their bits alone)."""
+def backward(params: MlpParams, cache: ForwardCache, dscores, grads: MlpParams) -> MlpParams:
+    """Exact reverse-mode gradients written over ``grads``, which it returns
+    (see the module docstring for why ``out=`` leaves their bits alone)."""
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different parameter set")
     dscores = np.asarray(dscores, dtype=np.float64)
     if dscores.shape != cache.scores.shape:
         raise ValueError(f"upstream gradient shape {dscores.shape} does not match scores")
-    grads = MlpParams(np.empty_like(params.flat), params.dims)
+    if grads.dims != params.dims:
+        raise ValueError(f"gradient dims {grads.dims} do not match the parameters' {params.dims}")
+    if np.shares_memory(grads.flat, params.flat):
+        raise ValueError("the gradient vector shares memory with the parameters")
     dz2 = dscores * cache.scores * (1.0 - cache.scores)
     np.matmul(cache.hidden.T, dz2, out=grads.W2)
     dz2.sum(axis=0, out=grads.b2)
@@ -325,6 +334,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     log: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(idx_train))
+        grads = MlpParams(np.empty_like(params.flat), params.dims)  # every batch overwrites it
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             xb, yb = x_tr[batch], y_tr[batch]
@@ -336,10 +346,10 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
             scores, cache = forward(params, xb, mask, cfg.dropout_rate)
             dscores = curriculum.hcl_grad(
                 yb, scores, s, taxonomy, spec, cfg.focal_gamma, cfg.transform_scope
-            ) / len(batch)
-            grads = backward(params, cache, dscores)
-            opt.step(params, grads)
-        del scores, cache, dscores, grads  # not live through the epoch-end pass
+            )
+            dscores /= len(batch)  # hcl_grad's array is fresh
+            opt.step(params, backward(params, cache, dscores, grads))
+        del xb, yb, scores, cache, dscores, grads  # not live through the epoch-end pass
 
         value, s = curriculum.hcl_loss(
             y_tr, forward(params, x_tr)[0], taxonomy, spec,
@@ -397,5 +407,7 @@ def load_checkpoint(path) -> MlpParams:
         if size != want:
             raise ValueError(f"{path}: checkpoint header claims D={d} H={h} C={c}, "
                              f"{want} bytes in all, but the file has {size} bytes")
-        flat = np.frombuffer(fh.read(n_bytes), dtype="<f8").astype(np.float64)
-    return MlpParams(flat, (d, h, c))
+        flat = np.empty(n_bytes // 8, dtype="<f8")
+        if fh.readinto(flat) != n_bytes:
+            raise ValueError(f"{path}: checkpoint ended before its {n_bytes} parameter bytes")
+    return MlpParams(flat.astype(np.float64, copy=False), (d, h, c))

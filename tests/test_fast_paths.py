@@ -373,11 +373,15 @@ def test_mlp_forward_and_backward_match_allocating_reference(n_classes, n, rate)
         -rng.uniform(0.1, 3.0, (n, n_classes)),  # dropped units give -0.0
         np.zeros((n, n_classes)),
     )
+    reused = mlp.MlpParams(np.full_like(params.flat, np.nan), params.dims)
     for dscores in upstreams:
-        grads = mlp.backward(params, cache, dscores)
         ref = slow_mlp_backward(params, ref_cache, dscores)
-        for fast, slow in zip(_views(grads), ref):
-            assert _same_bits(fast, slow)
+        fresh = mlp.MlpParams(np.empty_like(params.flat), params.dims)
+        for dest in (fresh, reused):  # reused holds NaN, then the last upstream's gradients
+            grads = mlp.backward(params, cache, dscores, dest)
+            assert grads is dest
+            for fast, slow in zip(_views(grads), ref):
+                assert _same_bits(fast, slow)
 
 
 def test_sigmoid_matches_masked_reference_on_edge_logits():
@@ -515,7 +519,8 @@ def slow_zero_one_loss(y, s, decision_threshold):
 
 def slow_train(dataset, taxonomy, cfg):
     """The training loop that drew each batch's dropout mask into fresh
-    arrays, ``(rng.random((B, H)) >= rate).astype(float64)``."""
+    arrays, ``(rng.random((B, H)) >= rate).astype(float64)``, and wrote
+    each batch's gradients into a fresh vector."""
     x_tr, y_tr = (a[dataset.indices("train")] for a in (dataset.features, dataset.labels))
     x_va, y_va = (a[dataset.indices("valid")] for a in (dataset.features, dataset.labels))
     spec = curriculum.LOSS_PRESETS[cfg.loss_mode]
@@ -533,7 +538,8 @@ def slow_train(dataset, taxonomy, cfg):
             scores, cache = mlp.forward(params, x_tr[batch], mask, cfg.dropout_rate)
             dscores = curriculum.hcl_grad(y_tr[batch], scores, s, taxonomy, spec,
                                           cfg.focal_gamma, cfg.transform_scope) / len(batch)
-            opt.step(params, mlp.backward(params, cache, dscores))
+            grads = mlp.MlpParams(np.empty_like(params.flat), params.dims)
+            opt.step(params, mlp.backward(params, cache, dscores, grads))
         value, s = curriculum.hcl_loss(
             y_tr, mlp.forward(params, x_tr)[0], taxonomy, spec, gamma=cfg.focal_gamma,
             scope=cfg.transform_scope, decision_threshold=cfg.decision_threshold,

@@ -24,6 +24,11 @@ from hcl.mlp import (
 from hcl.taxonomy import parse_hierarchy
 
 
+def grads_like(params):
+    """A fresh gradient vector for ``backward`` to fill."""
+    return MlpParams(np.empty_like(params.flat), params.dims)
+
+
 def tiny_dataset(seed=0, label_noise=0.0, examples_per_leaf=30):
     d = synth_generate(
         SynthConfig(
@@ -168,7 +173,7 @@ def test_backward_scalar_network_hand_fixture():
     p = MlpParams(np.array([0.5, 0.25, -0.7, 0.1]), (1, 1, 1))  # W1, b1, W2, b2
     scores, cache = forward(p, np.array([[1.0]]))
     assert scores[0, 0] == pytest.approx(0.39532091528599067, abs=1e-15)
-    g = backward(p, cache, np.array([[1.0]]))
+    g = backward(p, cache, np.array([[1.0]]), grads_like(p))
     # chain rule by hand: dz2 = score*(1-score); dW2 = hidden*dz2; db2 = dz2;
     # dhidden = W2*dz2; dz1 = dhidden (hidden>0); dW1 = x*dz1; db1 = dz1
     assert g.b2[0] == pytest.approx(0.23904228922343726, abs=1e-15)
@@ -181,7 +186,7 @@ def test_backward_zero_upstream_gives_zero_grads(rng):
     p = init_params(4, 6, 2, seed=1)
     x = rng.normal(size=(5, 4))
     _, cache = forward(p, x)
-    g = backward(p, cache, np.zeros((5, 2)))
+    g = backward(p, cache, np.zeros((5, 2)), grads_like(p))
     assert np.all(g.flat == 0.0)
 
 
@@ -191,14 +196,32 @@ def test_backward_rejects_stale_cache(rng):
     x = rng.normal(size=(3, 4))
     _, cache = forward(p, x)
     with pytest.raises(ValueError, match="stale"):
-        backward(other, cache, np.zeros((3, 2)))
+        backward(other, cache, np.zeros((3, 2)), grads_like(p))
 
 
 def test_backward_rejects_wrong_upstream_shape(rng):
     p = init_params(4, 6, 2, seed=1)
     _, cache = forward(p, rng.normal(size=(3, 4)))
     with pytest.raises(ValueError):
-        backward(p, cache, np.zeros((3, 3)))
+        backward(p, cache, np.zeros((3, 3)), grads_like(p))
+
+
+def test_backward_rejects_a_gradient_vector_of_other_dims(rng):
+    p = init_params(4, 6, 2, seed=1)
+    _, cache = forward(p, rng.normal(size=(3, 4)))
+    other = MlpParams(np.zeros_like(p.flat), (1, 1, 21))  # as many values, other dims
+    with pytest.raises(ValueError, match="dims"):
+        backward(p, cache, np.ones((3, 2)), other)
+    assert np.all(other.flat == 0.0)
+
+
+def test_backward_rejects_a_gradient_vector_that_aliases_the_parameters(rng):
+    p = init_params(4, 6, 2, seed=1)
+    before = p.flat.copy()
+    _, cache = forward(p, rng.normal(size=(3, 4)))
+    with pytest.raises(ValueError, match="shares memory"):
+        backward(p, cache, np.ones((3, 2)), MlpParams(p.flat, p.dims))
+    assert np.array_equal(p.flat, before)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +271,7 @@ def test_parameter_gradients_match_finite_differences(mode):
     _, s0 = curriculum.hcl_loss(y, scores0, tax, spec)
     # the gradient function that training calls
     dscores = curriculum.hcl_grad(y, scores0, s0, tax, spec)
-    analytic = backward(params, cache0, dscores)
+    analytic = backward(params, cache0, dscores, grads_like(params))
 
     def value_at(p):
         sc, _ = forward(p, x)
@@ -382,6 +405,25 @@ def test_training_peak_memory_does_not_grow_after_the_first_epoch():
     assert traced_peak(3) - traced_peak(1) < score_block / 2
 
 
+def test_train_fills_one_gradient_vector_per_epoch(monkeypatch):
+    d = tiny_dataset()
+    cfg = TrainConfig(hidden_width=8, epochs=3, batch_size=16)
+    dests, fill = [], mlp.backward
+
+    def recording(params, cache, dscores, grads):
+        dests.append(grads)
+        return fill(params, cache, dscores, grads)
+
+    monkeypatch.setattr(mlp, "backward", recording)
+    train(d, d.taxonomy, cfg)
+    per_epoch = math.ceil(len(d.indices("train")) / cfg.batch_size)
+    assert per_epoch > 1 and len(dests) == cfg.epochs * per_epoch
+    epochs = [dests[i:i + per_epoch] for i in range(0, len(dests), per_epoch)]
+    for batches in epochs:
+        assert all(g is batches[0] for g in batches)
+    assert len({id(batches[0]) for batches in epochs}) == cfg.epochs
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(dropout_rate=1.0)
@@ -462,6 +504,21 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     save_checkpoint(path, p)
     q = load_checkpoint(path)
     assert q.dims == p.dims and q.flat.tobytes() == p.flat.tobytes()
+
+
+def test_checkpoint_load_holds_one_copy_of_the_vector(tmp_path):
+    p = init_params(16, 256, 256, seed=2)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, p)
+    load_checkpoint(path)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        q = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.flat.tobytes() == p.flat.tobytes()
+    assert peak < 1.5 * p.flat.nbytes
 
 
 def test_checkpoint_bytes_are_the_documented_layout(tmp_path):
