@@ -218,9 +218,9 @@ def _final_reports(params, d: data.Dataset, leaves_only: bool) -> dict:
     out = {}
     for name in data.SPLIT_NAMES:
         idx = d.indices(name)
-        scores = mlp.forward(params, d.features[idx])[0]
-        rep = metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
-        out[name] = rep
+        # scores passed on unbound, so no split's scores outlive its evaluation
+        out[name] = metrics.evaluate(d.labels[idx], mlp.forward(params, d.features[idx])[0],
+                                     d.taxonomy, leaves_only=leaves_only)
     return out
 
 

@@ -17,14 +17,24 @@ epoch-end pass, which yields the selection vector, and ``hcl_grad`` the
 gradient of a batch under a fixed selection.
 
 The epoch-end pass computes only what selection reads: the column sums L
-of the (transformed) base loss and the scalar e_total. It transforms values
-in place without routing (``losses.hier_transform_in_place``), and it
-counts the (transformed) bool 0-1 surface of ``losses.zero_one_errors``
-rather than summing a float one. Both give the same bits as ``hier_transform`` followed
-by ``aggregate_class_losses``, the reference that ``verify`` uses: the
-values are those of ``hier_transform``, and a count of at most 2^53 errors
-converts to the float sum of zeros and ones exactly. The batch path clamps
-the scores once and feeds that clamp to both the base gradient and the base
+of the (transformed) base loss and the scalar e_total. With the curriculum
+it sweeps row blocks of ``losses._row_blocks`` (256 rows, the remainder
+merged into the last), so no N x C surface is ever live: per block, the
+base loss, the transform in place without routing
+(``losses.hier_transform_in_place``), the column sums, and a count of the
+(transformed) bool 0-1 surface of ``losses.zero_one_errors`` rather than a
+sum of a float one. numpy sums a C-contiguous surface over axis 0 row by
+row, in order; adding the running sums into a block's first row before
+summing the block continues that order, so L has the bits of the whole
+surface's column sums. A single column is summed pairwise instead, so C=1
+runs as one block. Everything else reads one row at a time, so the pass
+gives the same bits as ``hier_transform`` followed by
+``aggregate_class_losses`` over the whole surface, the reference that
+``verify`` uses: a count of at most 2^53 errors converts to the float sum of
+zeros and ones exactly. A spec without the curriculum logs the total of
+the whole surface, ``float(surface.sum())``, a pairwise sum that no blocked
+pass reproduces, so it keeps the whole surface. The batch path clamps the
+scores once and feeds that clamp to both the base gradient and the base
 loss that the transform routes by.
 """
 
@@ -220,19 +230,29 @@ def hcl_loss(
     ``hcl_grad`` gives the gradient of the loss that ``s`` weights.
     """
     loss_fn, _ = _base_fns(spec, gamma)
-    surface = loss_fn(y, scores)
-    if spec.transform:
-        losses.hier_transform_in_place(surface, taxonomy, scope)
     if not spec.curriculum:
+        surface = loss_fn(y, scores)
+        if spec.transform:
+            losses.hier_transform_in_place(surface, taxonomy, scope)
         return float(surface.sum()), np.ones(taxonomy.n_classes)
-    errors = losses.zero_one_errors(y, scores, decision_threshold=decision_threshold)
-    if spec.transform:
-        losses.hier_transform_in_place(errors, taxonomy, scope)
-    agg = ClassLossAggregate(
-        L=surface.sum(axis=0),
-        e_h_total=float(np.count_nonzero(errors)),
-        n_examples=surface.shape[0],
-    )
+    y, scores = losses._check_pair(y, scores)
+    n, c = y.shape
+    L, e_total = None, 0
+    # one column is summed pairwise, not row by row: one block
+    for rows in losses._row_blocks(n, losses._PASS_ROWS if c > 1 else max(n, 1)):
+        surface = loss_fn(y[rows], scores[rows])
+        if spec.transform:
+            losses.hier_transform_in_place(surface, taxonomy, scope)
+        if L is None:
+            L = surface.sum(axis=0)
+        else:  # carry the running sums in as the block's first row
+            surface[0] += L
+            surface.sum(axis=0, out=L)
+        errors = losses.zero_one_errors(y[rows], scores[rows], decision_threshold)
+        if spec.transform:
+            losses.hier_transform_in_place(errors, taxonomy, scope)
+        e_total += np.count_nonzero(errors)
+    agg = ClassLossAggregate(L=L, e_h_total=float(e_total), n_examples=n)
     s = select_classes(agg, taxonomy.n_classes, rule=rule, thresh=thresh)
     return curriculum_objective(s, agg, taxonomy.n_classes), s
 

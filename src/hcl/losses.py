@@ -47,6 +47,19 @@ SCOPES = (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY)
 # ancestors-only sweep about twice as fast as 128 or more.
 _BLOCK_ROWS = 64
 
+# Rows per block of a pass over a whole split (``mlp.forward``, the
+# curriculum's ``hcl_loss``); see ``_row_blocks``.
+_PASS_ROWS = 256
+
+
+def _row_blocks(n: int, rows: int = _PASS_ROWS) -> list[slice]:
+    """Consecutive slices of ``rows`` rows covering ``range(n)``, the
+    remainder merged into the last one: with ``n < 2 * rows`` that is one
+    slice of all ``n`` rows (also when n is 0), and no slice is shorter than
+    ``rows`` otherwise."""
+    starts = range(0, max(rows, n // rows * rows), rows)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
 
 def _check_pair(y, s):
     y = np.asarray(y)
@@ -296,25 +309,30 @@ def hier_transform_backward(routing, upstream) -> np.ndarray:
 def check_label_matrix(y, taxonomy: Taxonomy) -> np.ndarray:
     """Validate a {-1,+1} label matrix: ancestor-closed, >=1 positive per row.
 
-    Closure is checked through the positives alone: each positive's parent
-    is read in the positive's own row, so the cost follows the positives,
-    not N x C. A failure names the orphaned class of smallest id. Returns
-    ``y`` itself (after ``np.asarray``)."""
+    The entries take two N x C passes, one per sign, into one bool mask.
+    Everything else runs through the positions of the positives: the rows
+    that hold one, and closure, each positive's parent read in the
+    positive's own row, so its cost follows the positives, not N x C. A
+    failure names the orphaned class of smallest id. Returns ``y`` itself
+    (after ``np.asarray``)."""
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != taxonomy.n_classes:
         raise ValueError(f"label matrix shape {y.shape} does not match C={taxonomy.n_classes}")
     pos = y == 1
-    if not (pos | (y == -1)).all():
+    r, c = np.divmod(np.flatnonzero(pos), y.shape[1])
+    # +1 and -1 are disjoint, so their counts fill the matrix only when
+    # every entry is one of them; the -1 pass writes over the +1 mask
+    if len(r) + np.count_nonzero(np.equal(y, -1, out=pos)) != y.size:
         raise ValueError("label matrix entries must be -1 or +1")
-    has_pos = pos.any(axis=1)
+    has_pos = np.zeros(len(y), dtype=bool)
+    has_pos[r] = True
     if not has_pos.all():
         bad = int(np.flatnonzero(~has_pos)[0])
         raise ValueError(f"example {bad} has no positive class")
     # each positive's parent, read in the positive's own row (a top-level
     # class's VIRTUAL_ROOT reads the last column, which the mask discards)
-    r, c = np.divmod(np.flatnonzero(pos), y.shape[1])
     parent = taxonomy.parent_ids[c]
-    orphaned = c[(parent != VIRTUAL_ROOT) & ~pos[r, parent]]
+    orphaned = c[(parent != VIRTUAL_ROOT) & (y[r, parent] != 1)]
     if len(orphaned):
         c = int(orphaned.min())
         raise ValueError(

@@ -12,14 +12,43 @@ optimizer state, the split arrays and the dropout buffers live: the last
 batch's arrays are dropped after the batch loop and the split scores are
 never bound to a name, so every epoch peaks where the first does.
 
-A forward pass allocates only ``hidden``, ``scores`` (plus the scaled mask
-under dropout) and small per-block scratch, and gives the same bits as
-evaluating ``sigmoid(relu(x @ W1 + b1) * mask_scale @ W2 + b2)`` one
-expression at a time. Each matmul runs whole, because splitting it into
-row blocks can change its bits. The bias add, ReLU and dropout scale
-then overwrite the matmul's output in that order: the same elementwise
-operation on the same operands, only written in place. The sigmoid
-overwrites the logits one row block at a time (see ``_sigmoid``).
+A forward pass runs in row blocks (``_forward_blocks``): R rows each, the
+remainder merged into the last, so every block has R to 2R - 1 rows and a
+call of fewer than 2R rows is one block. R is 256 unless the layers are
+narrow (see below). Each block evaluates
+``sigmoid(relu(x @ W1 + b1) * mask_scale @ W2 + b2)`` on its rows one
+expression at a time: its hidden rows go into one scratch array that every
+block reuses, the bias add, ReLU and dropout scale overwrite the matmul's
+output in that order (the same elementwise operation on the same operands,
+only written in place), and the second matmul writes into the block's rows
+of the scores, which the sigmoid then overwrites (see ``_sigmoid``).
+
+The block rule keeps the bits of the whole-split pass. An output element
+reads only its own row, so the elementwise steps give the same bits in any
+blocking, and so does a matmul as long as each block's product runs on the
+same BLAS kernel as the whole product. OpenBLAS 0.3.31 on its SkylakeX
+kernels sends a double product of at most 100**3 multiply-adds to a
+small-matrix kernel that rounds its sums another way: at H=800, 64-row
+blocks at C=12 and 256-row blocks at C=3 changed bits. So a block grows past
+256 rows until both of its products (R x D x H and R x H x C multiply-adds)
+exceed that. numpy runs a product with one output column as gemv, whose
+sums depend on the row count, so H=1 or C=1 is one block. Under this rule a
+block's products had the bits of the same rows of the whole products at
+every size tried on those kernels. OpenBLAS's Haswell and Zen kernels do not
+promise that (some row blocks of 513- and 3073-row products differ, at K=16
+and at K=800), so the tests compare each block with a reference computed
+on that block's rows alone, never with a whole-split product.
+
+What the cache holds: a call of one block, such as every training batch,
+keeps its hidden layer (the scratch itself) for ``backward``. A call of
+several blocks keeps none (``ForwardCache.hidden`` is None), so a scoring or
+epoch-end pass never holds N x H floats: at H=800 the scratch is 1.6-3.3
+MB, where ``hclbench wide``'s 3072 train rows took 19.7 MB. With R = 256 it
+stays under glibc's 4 MiB mmap threshold for H up to 1026, so it comes from
+the heap (see ``_malloc``). ``backward`` after such a call rebuilds the
+hidden layer block by block with the same code, so the gradients have the
+bits that a kept layer would give; it reads the parameters as they are, so
+it must run before they change, as in ``train``.
 ``backward`` masks the ReLU with ``hidden > 0``: with a binary mask and
 ``s = 1/(1-rate) >= 1``, a kept unit's ``max(z1, 0) * s`` is positive
 exactly when ``z1 > 0``, and a dropped unit's upstream ``dhidden * 0`` is
@@ -171,9 +200,32 @@ def _sigmoid(z):
 class ForwardCache:
     params: MlpParams = field(repr=False)
     x: np.ndarray = field(repr=False)
-    hidden: np.ndarray = field(repr=False)  # post-relu, post-dropout
+    hidden: np.ndarray | None = field(repr=False)  # post-relu, post-dropout; None past one block
     mask_scale: np.ndarray | None = field(repr=False)
     scores: np.ndarray = field(repr=False)
+
+
+# Multiply-adds up to which OpenBLAS (0.3.31, SkylakeX kernels) runs a
+# double product with its small-matrix kernel, whose sums round otherwise.
+_SMALL_GEMM = 100 ** 3
+
+
+def _forward_blocks(n: int, dims) -> list[slice]:
+    """Row blocks of a forward pass over ``n`` rows (see the module docstring)."""
+    d, h, c = dims
+    if min(h, c) < 2:  # numpy hands a one-column product to gemv: one block
+        return [slice(0, n)]
+    return losses._row_blocks(n, max(losses._PASS_ROWS, _SMALL_GEMM // (h * min(d, c)) + 1))
+
+
+def _hidden_block(params: MlpParams, x, mask_scale, out):
+    """``relu(x @ W1 + b1) * mask_scale`` written into ``out``, which it returns."""
+    np.matmul(x, params.W1, out=out)
+    out += params.b1
+    np.maximum(out, 0.0, out=out)
+    if mask_scale is not None:
+        out *= mask_scale
+    return out
 
 
 def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
@@ -193,22 +245,26 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         mask_scale = dropout_mask / (1.0 - dropout_rate)
-    hidden = x @ params.W1
-    hidden += params.b1
-    np.maximum(hidden, 0.0, out=hidden)
-    if mask_scale is not None:
-        hidden *= mask_scale
-    scores = hidden @ params.W2
-    scores += params.b2
-    _sigmoid(scores)
-    cache = ForwardCache(params=params, x=x, hidden=hidden,
+    blocks = _forward_blocks(len(x), params.dims)
+    # the last block is the longest; with one block this is the hidden layer
+    scratch = np.empty((blocks[-1].stop - blocks[-1].start, params.dims[1]))
+    scores = np.empty((len(x), params.dims[2]))
+    for rows in blocks:
+        hidden = _hidden_block(params, x[rows], None if mask_scale is None else mask_scale[rows],
+                               scratch[:rows.stop - rows.start])
+        block = scores[rows]
+        np.matmul(hidden, params.W2, out=block)
+        block += params.b2
+        _sigmoid(block)
+    cache = ForwardCache(params=params, x=x, hidden=scratch if len(blocks) == 1 else None,
                          mask_scale=mask_scale, scores=scores)
     return scores, cache
 
 
 def backward(params: MlpParams, cache: ForwardCache, dscores, grads: MlpParams) -> MlpParams:
     """Exact reverse-mode gradients written over ``grads``, which it returns
-    (see the module docstring for why ``out=`` leaves their bits alone)."""
+    (see the module docstring for why ``out=`` leaves their bits alone, and
+    for the hidden layer it rebuilds after a forward of several blocks)."""
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different parameter set")
     dscores = np.asarray(dscores, dtype=np.float64)
@@ -218,13 +274,20 @@ def backward(params: MlpParams, cache: ForwardCache, dscores, grads: MlpParams) 
         raise ValueError(f"gradient dims {grads.dims} do not match the parameters' {params.dims}")
     if np.shares_memory(grads.flat, params.flat):
         raise ValueError("the gradient vector shares memory with the parameters")
+    hidden = cache.hidden
+    if hidden is None:
+        hidden = np.empty((len(cache.x), params.dims[1]))
+        for rows in _forward_blocks(len(cache.x), params.dims):
+            _hidden_block(params, cache.x[rows],
+                          None if cache.mask_scale is None else cache.mask_scale[rows],
+                          hidden[rows])
     dz2 = dscores * cache.scores * (1.0 - cache.scores)
-    np.matmul(cache.hidden.T, dz2, out=grads.W2)
+    np.matmul(hidden.T, dz2, out=grads.W2)
     dz2.sum(axis=0, out=grads.b2)
     dhidden = dz2 @ params.W2.T
     if cache.mask_scale is not None:
         dhidden *= cache.mask_scale
-    dhidden *= cache.hidden > 0  # dz1, see the module docstring
+    dhidden *= hidden > 0  # dz1, see the module docstring
     np.matmul(cache.x.T, dhidden, out=grads.W1)
     dhidden.sum(axis=0, out=grads.b1)
     return grads

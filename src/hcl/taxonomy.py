@@ -127,25 +127,32 @@ def parse_hierarchy(paths, separator: str = "/") -> Taxonomy:
     if not paths:
         raise ValueError("empty hierarchy: no paths given")
     seen = set()
-    all_names = set()
+    # every prefix name -> (its parent's name or None, its level); a prefix
+    # ends where ``split`` found a separator, so it is the join of the parts
+    # before it, and it splits into those same parts
+    prefixes: dict[str, tuple[str | None, int]] = {}
+    step = len(separator)
     for p in paths:
         if p in seen:
             raise ValueError(f"duplicate hierarchy path {p!r}")
         seen.add(p)
         parts = p.split(separator)
-        if any(part == "" for part in parts):
+        if "" in parts:
             raise ValueError(f"malformed hierarchy path {p!r}: empty component")
-        for i in range(1, len(parts) + 1):
-            all_names.add(separator.join(parts[:i]))
+        parent, end = None, -step
+        for lvl, part in enumerate(parts, start=1):
+            end += len(part) + step
+            name = p[:end]
+            prefixes[name] = (parent, lvl)
+            parent = name
 
-    names = tuple(sorted(all_names))
+    names = tuple(sorted(prefixes))
     name_to_id = {n: i for i, n in enumerate(names)}
-    parts = [n.split(separator) for n in names]
     parent_ids = np.asarray(
-        [name_to_id[separator.join(q[:-1])] if len(q) > 1 else VIRTUAL_ROOT for q in parts],
+        [VIRTUAL_ROOT if (q := prefixes[n][0]) is None else name_to_id[q] for n in names],
         dtype=np.int64,
     )
-    level = np.asarray([len(q) for q in parts], dtype=np.int64)
+    level = np.asarray([prefixes[n][1] for n in names], dtype=np.int64)
     parent_ids.flags.writeable = level.flags.writeable = False
     return Taxonomy(
         class_names=names, parent_ids=parent_ids, level=level, separator=separator

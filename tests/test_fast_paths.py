@@ -3,14 +3,17 @@
 The references below are the per-class ancestors-only loop, an independent
 per-class all-shallower scan, the ``np.add.at`` scatter, the allocating
 Adam step, the masked gather/scatter sigmoid and the allocating MLP
-forward and backward passes (whose cache kept the pre-ReLU ``z1``), the
-per-mode dispatch of the training loss that the loss
-specs in ``curriculum`` replaced, the two-branch ``np.where`` bce loss and
-gradient, the float 0-1 surface that the epoch-end pass summed, the
+forward and backward passes (whose cache kept the pre-ReLU ``z1``), that
+forward pass run on each row block's rows alone (never a whole-split
+product, whose row blocks some BLAS kernels round differently), the
+whole-surface aggregate of the epoch-end pass, the per-mode dispatch of
+the training loss that the loss specs in ``curriculum`` replaced, the
+two-branch ``np.where`` bce loss and gradient, the float 0-1 surface that the epoch-end pass summed, the
 training loop that allocated each dropout mask afresh, the parent-walking
 tree queries that the ``Taxonomy.path_ids`` table replaced, the per-example
 ranking and LCA loops of ``metrics.evaluate``, the column-gather check of
-``losses.check_label_matrix``, the per-class loops of label closure and
+``losses.check_label_matrix``, the prefix-joining
+``taxonomy.parse_hierarchy``, the per-class loops of label closure and
 of the native label writer, and the per-example synthetic generator. The
 tree references read each class's parent, children and level off its path
 string (``tree_from_names``), not off the ``Taxonomy`` arrays under test.
@@ -19,6 +22,7 @@ The fast paths keep their arithmetic, so every comparison is bitwise
 """
 
 import json
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -402,6 +406,220 @@ def test_sigmoid_matches_masked_reference_on_edge_logits():
 
 
 # ---------------------------------------------------------------------------
+# row-blocked forward pass and epoch-end pass
+# ---------------------------------------------------------------------------
+
+# (D, H, C) for H in {800, 4} and C in {3, 12, 584}; at H=4, D keeps the
+# blocks few enough rows to test (see ``_forward_rows``)
+BLOCKED_DIMS = ((16, 800, 3), (16, 800, 12), (16, 800, 584),
+                (3, 4, 3), (12, 4, 12), (250, 4, 584))
+
+
+def _forward_rows(dims):
+    """The documented block rule: 256 rows, or more where a block's products
+    would have at most 100**3 multiply-adds."""
+    d, h, c = dims
+    return max(256, 100 ** 3 // (h * min(d, c)) + 1)
+
+
+def _block_row_counts(r):
+    """One row short of a block, one block, the most one block holds, two
+    blocks, two blocks with one row merged in, and three blocks and a third."""
+    return (r - 1, r, 2 * r - 1, 2 * r, 2 * r + 1, 3 * r + r // 3)
+
+
+def _blocked_forward_case(dims, which, rate):
+    d, h, c = dims
+    n = _block_row_counts(_forward_rows(dims))[which]
+    rng = np.random.default_rng(n + c)
+    params = mlp.init_params(d, h, c, seed=n)
+    params.b1[:] = rng.normal(scale=0.5, size=h)
+    params.b1[:2] = (0.0, -0.0)  # exact zeros reach the ReLU from zero rows
+    params.b2[:] = rng.normal(scale=4.0, size=c)
+    x = rng.normal(scale=2.0, size=(n, d))
+    x[::7] = 0.0
+    kw = {}
+    if rate is not None:
+        kw = dict(dropout_mask=rng.random((n, h)) >= rate, dropout_rate=rate)
+    return rng, params, x, kw
+
+
+def _per_block_reference(params, x, blocks, **kw):
+    """``slow_mlp_forward`` of each block's rows, stacked: scores and a
+    cache whose ``z1`` and ``hidden`` are the blocks' own."""
+    mask = kw.pop("dropout_mask", None)
+    parts = [slow_mlp_forward(params, x[rows], None if mask is None else mask[rows], **kw)[1]
+             for rows in blocks]
+    cache = {key: np.concatenate([p[key] for p in parts])
+             for key in ("z1", "hidden", "scores")}
+    cache["x"] = x
+    cache["mask_scale"] = None if mask is None else mask / (1.0 - kw["dropout_rate"])
+    return cache["scores"], cache
+
+
+@pytest.mark.parametrize("which", range(6))
+@pytest.mark.parametrize("dims", BLOCKED_DIMS)
+def test_blocked_forward_matches_per_block_reference(dims, which):
+    for rate in (None, 0.25) if dims[1] == 800 else (None,):
+        rng, params, x, kw = _blocked_forward_case(dims, which, rate)
+        n, r = len(x), _forward_rows(params.dims)
+        blocks = mlp._forward_blocks(n, params.dims)
+        assert [b.stop - b.start for b in blocks] == (
+            [n] if n < 2 * r else [r] * (n // r - 1) + [r + n % r])
+        scores, cache = mlp.forward(params, x, **kw)
+        ref_scores, ref_cache = _per_block_reference(params, x, blocks, **kw)
+        assert _same_bits(scores, ref_scores)
+        if len(blocks) == 1:
+            assert _same_bits(cache.hidden, ref_cache["hidden"])
+        else:
+            assert cache.hidden is None  # no whole hidden layer outlives the call
+        dscores = rng.normal(size=scores.shape)
+        dscores[rng.random(scores.shape) < 0.3] = -0.0
+        grads = mlp.MlpParams(np.full_like(params.flat, np.nan), params.dims)
+        mlp.backward(params, cache, dscores, grads)
+        for fast, slow in zip(_views(grads), slow_mlp_backward(params, ref_cache, dscores)):
+            assert _same_bits(fast, slow)
+
+
+def test_multi_block_backward_keeps_signed_zeros_of_dropped_units():
+    """A negative upstream through dropped and dead units gives -0.0 entries
+    in the rebuilt layer's ReLU gradient, as in the per-block reference."""
+    _, params, x, kw = _blocked_forward_case((16, 800, 12), 5, 0.5)
+    # four dead units whose upstream gradient is negative on every row
+    params.b1[:4] = -1e3
+    params.W2[:4] = np.abs(params.W2[:4])
+    scores, cache = mlp.forward(params, x, **kw)
+    assert cache.hidden is None
+    upstream = -np.random.default_rng(1).uniform(0.1, 3.0, scores.shape)
+    ref_cache = _per_block_reference(params, x, mlp._forward_blocks(len(x), params.dims), **kw)[1]
+    grads = mlp.backward(params, cache, upstream,
+                         mlp.MlpParams(np.empty_like(params.flat), params.dims))
+    assert (grads.b1[:4] == 0).all()
+    for fast, slow in zip(_views(grads), slow_mlp_backward(params, ref_cache, upstream)):
+        assert _same_bits(fast, slow)
+
+
+def test_one_column_products_run_as_one_block():
+    """numpy hands a product with one output column to gemv, whose sums
+    depend on the row count, so C=1 and H=1 never split."""
+    for dims in ((16, 800, 1), (16, 1, 12)):
+        assert mlp._forward_blocks(5000, dims) == [slice(0, 5000)]
+    assert len(mlp._forward_blocks(5000, (16, 800, 2))) > 1
+
+
+def _complete_taxonomy(branching, levels):
+    paths = [""]
+    for _ in range(levels):
+        paths = [f"{p}/{k}" if p else str(k) for p in paths for k in range(branching)]
+    return parse_hierarchy(paths)
+
+
+# C=3 (a two-level chain and a root), 12 (desk) and 584 (wide)
+EPOCH_END_TAXONOMIES = {
+    3: parse_hierarchy(["0/0", "1"]),
+    12: _complete_taxonomy(3, 2),
+    584: _complete_taxonomy(8, 3),
+}
+
+
+def _slow_epoch_end_aggregate(y, scores, tax, spec, gamma, scope, threshold):
+    """``hier_transform`` and ``aggregate_class_losses`` of the stacked
+    transformed blocks: the column sums of the whole transformed surface."""
+    base = (slow_bce_loss(y, scores) if spec.base == "bce"
+            else losses.focal_loss(y, scores, gamma))
+    e01 = slow_zero_one_loss(y, scores, threshold)
+    blocks = losses._row_blocks(len(y))
+    if spec.transform:
+        base = np.concatenate([hier_transform(base[b], tax, scope)[0] for b in blocks])
+        e01 = np.concatenate([hier_transform(e01[b], tax, scope)[0] for b in blocks])
+    return curriculum.aggregate_class_losses(base, e01)
+
+
+def _capture_aggregates(monkeypatch):
+    """A list that collects every aggregate ``hcl_loss`` hands to selection,
+    and the unpatched ``select_classes``."""
+    seen = []
+    select = curriculum.select_classes
+    monkeypatch.setattr(curriculum, "select_classes",
+                        lambda agg, *a, **k: seen.append(agg) or select(agg, *a, **k))
+    return seen, select
+
+
+@pytest.mark.parametrize("which", range(6))
+@pytest.mark.parametrize("c", sorted(EPOCH_END_TAXONOMIES))
+@pytest.mark.parametrize("base", curriculum.BASE_LOSSES)
+def test_blocked_epoch_end_pass_matches_whole_surface_aggregate(base, c, which, monkeypatch):
+    tax = EPOCH_END_TAXONOMIES[c]
+    n = _block_row_counts(losses._PASS_ROWS)[which]
+    seen, select = _capture_aggregates(monkeypatch)
+    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+        for transform in (True, False):
+            rng = np.random.default_rng(n + c)
+            y = rng.choice([-1, 1], size=(n, c), p=(0.7, 0.3)).astype(np.int8)
+            scores = _edge_scores(rng, (n, c))
+            spec = curriculum.LossSpec(base, transform=transform, curriculum=True)
+            value, s = curriculum.hcl_loss(y, scores, tax, spec, gamma=1.5, scope=scope,
+                                           decision_threshold=0.4)
+            ref = _slow_epoch_end_aggregate(y, scores, tax, spec, 1.5, scope, 0.4)
+            agg = seen.pop()
+            assert agg.n_examples == n and agg.e_h_total == ref.e_h_total
+            assert np.array_equal(agg.L, ref.L, equal_nan=True)
+            finite = ~np.isnan(ref.L)
+            assert _same_bits(agg.L[finite], ref.L[finite])
+            s_ref = select(ref, c)
+            assert np.array_equal(s, s_ref)
+            assert _same_bits(value, curriculum.curriculum_objective(s_ref, ref, c))
+
+
+def test_one_class_epoch_end_pass_sums_its_column_whole(monkeypatch):
+    """numpy sums a lone column pairwise, so C=1 runs as one block."""
+    seen, _ = _capture_aggregates(monkeypatch)
+    rng = np.random.default_rng(8)
+    n = 12 * losses._PASS_ROWS + 5
+    y = rng.choice([-1, 1], size=(n, 1))
+    scores = rng.uniform(size=(n, 1)) ** 8  # losses over several magnitudes
+    curriculum.hcl_loss(y, scores, parse_hierarchy(["a"]))
+    assert _same_bits(seen[0].L, slow_bce_loss(y, scores).sum(axis=0))
+
+
+def _traced_peak(fn):
+    """Bytes that ``fn()`` allocates at its peak over what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_passes_peak_at_a_few_blocks_not_the_whole_split():
+    """Over 32 blocks of rows, forward holds the scores and one hidden block,
+    and the epoch-end pass a few (block x C) temporaries; a whole N x H or
+    N x C temporary is many times either bound."""
+    d, h, c = 16, 800, 584
+    tax = EPOCH_END_TAXONOMIES[c]
+    r = losses._PASS_ROWS
+    n = 32 * r + r // 2
+    rng = np.random.default_rng(2)
+    params = mlp.init_params(d, h, c, seed=2)
+    x = rng.normal(size=(n, d))
+    scores_bytes = 8 * n * c
+    block_bytes = 8 * (2 * r - 1)  # per column of the longest block
+    peak = _traced_peak(lambda: mlp.forward(params, x))
+    assert peak <= scores_bytes + block_bytes * (h + 2 * c)
+    assert 8 * n * h > 4 * block_bytes * (h + 2 * c)  # a whole hidden layer would not fit
+
+    y = rng.choice([-1, 1], size=(n, c), p=(0.9, 0.1)).astype(np.int8)
+    scores = rng.uniform(size=(n, c))
+    spec = curriculum.LOSS_PRESETS["hcl"]
+    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+        peak = _traced_peak(lambda: curriculum.hcl_loss(y, scores, tax, spec, scope=scope))
+        assert peak <= 3 * block_bytes * c
+        assert 8 * n * c > 4 * 3 * block_bytes * c
+
+
+# ---------------------------------------------------------------------------
 # loss core
 # ---------------------------------------------------------------------------
 
@@ -670,6 +888,31 @@ def test_dropout_training_matches_per_batch_mask_reference(batch_size):
 # ---------------------------------------------------------------------------
 
 
+def slow_parse_hierarchy(paths, separator="/"):
+    """The retired parser: every prefix of every path joined as a string,
+    then each name split again for its parent and level."""
+    paths = list(paths)
+    if not paths:
+        raise ValueError("empty hierarchy: no paths given")
+    seen = set()
+    all_names = set()
+    for p in paths:
+        if p in seen:
+            raise ValueError(f"duplicate hierarchy path {p!r}")
+        seen.add(p)
+        parts = p.split(separator)
+        if any(part == "" for part in parts):
+            raise ValueError(f"malformed hierarchy path {p!r}: empty component")
+        for i in range(1, len(parts) + 1):
+            all_names.add(separator.join(parts[:i]))
+    names = tuple(sorted(all_names))
+    name_to_id = {n: i for i, n in enumerate(names)}
+    parts = [n.split(separator) for n in names]
+    parent_ids = [name_to_id[separator.join(q[:-1])] if len(q) > 1 else VIRTUAL_ROOT
+                  for q in parts]
+    return names, parent_ids, [len(q) for q in parts]
+
+
 def slow_ancestors(tree, c):
     """Strict ancestors, nearest first, by walking ``parent``."""
     out = []
@@ -876,6 +1119,36 @@ def test_tree_queries_match_parent_walks(seed):
             assert tax.lca(a, b) == slow_lca(tree, a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_parse_hierarchy_matches_retired_prefix_joins(seed):
+    """Components over an alphabet that holds the separator's characters, so
+    that separators overlap and some components come out empty, prefixes
+    repeat, and some paths are duplicates."""
+    rng = np.random.default_rng(seed)
+    separator = str(rng.choice(["/", ".", "::", "//", "ab"]))
+
+    def component():
+        return "".join(rng.choice(list("ab/.:"), size=int(rng.integers(1, 4))))
+
+    pool = [separator.join(component() for _ in range(int(rng.integers(1, 5))))
+            for _ in range(int(rng.integers(1, 30)))]
+    paths = list(rng.choice(pool, size=int(rng.integers(0, 40))))
+    if rng.random() < 0.8:
+        paths = list(dict.fromkeys(paths))
+    try:
+        want = slow_parse_hierarchy(paths, separator)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_hierarchy(paths, separator)
+        assert str(got.value) == str(exc)
+        return
+    tax = parse_hierarchy(paths, separator)
+    assert (tax.class_names, tax.parent_ids.tolist(), tax.level.tolist()) == want
+    assert tax.separator == separator
+    assert tax.parent_ids.dtype == tax.level.dtype == np.int64
+
+
 @pytest.mark.parametrize("leaves_only", (False, True))
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
@@ -952,8 +1225,10 @@ def test_evaluate_leaves_only_without_a_positive_leaf(seed):
 
 
 def slow_check_label_matrix(y, tax):
-    """The retired check: each non-root class's column gathered against its
-    parent's column, the parent read off the path strings."""
+    """The retired check: three boolean passes for the +-1 entries (``y ==
+    1``, ``y == -1`` and their OR), a row-wise ``any`` for the positives, and
+    each non-root class's column gathered against its parent's column, the
+    parent read off the path strings."""
     parent = tree_from_names(tax).parent
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != tax.n_classes:
@@ -997,7 +1272,8 @@ def _corrupt_labels(rng, y, tax):
         for k in rng.choice(deep, size=min(len(deep), int(rng.integers(1, 4))), replace=False):
             y[r[k], tax.parent_ids[c[k]]] = -1
     elif kind == 2:
-        bad = [0, 2, -2, 127] if y.dtype == np.int8 else [0.0, 0.5, 2.0, np.nan, np.inf]
+        bad = ([0, 2, -2, 127, -127, -128] if y.dtype == np.int8
+               else [0.0, 0.5, 2.0, 127.0, -127.0, np.nan, np.inf, -np.inf])
         y[rng.integers(0, len(y)), rng.integers(0, tax.n_classes)] = rng.choice(bad)
     elif kind == 3:
         y[rng.integers(0, len(y))] = -1
