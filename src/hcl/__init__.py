@@ -43,7 +43,6 @@ from .losses import (
     focal_loss,
     hier_transform,
     hier_transform_backward,
-    zero_one_loss,
 )
 from .metrics import EvalReport, evaluate
 from .mlp import (
@@ -99,7 +98,6 @@ __all__ = [
     "split",
     "synth_generate",
     "train",
-    "zero_one_loss",
 ]
 
 __version__ = "0.1.0"

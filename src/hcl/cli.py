@@ -291,15 +291,15 @@ def _load_eval_inputs(args):
     params = mlp.load_checkpoint(checkpoint)
 
     if args.data_dir:
+        # the files are the data, so the overrides apply over the defaults
+        cfg = resolve_config(None, _collect_overrides(args))
         d = data.load_native_dir(args.data_dir)
-        leaves_only = False
     elif config_path:
         cfg = resolve_config(config_path, _collect_overrides(args))
         d = build_dataset(cfg)
-        leaves_only = cfg["leaves_only"]
     else:
         raise UsageError("eval needs --config, --run or --data-dir to locate the data")
-    return params, d, leaves_only, checkpoint
+    return params, d, cfg["leaves_only"], checkpoint
 
 
 def cmd_eval(args) -> int:

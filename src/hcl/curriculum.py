@@ -33,9 +33,9 @@ gives the same bits as ``hier_transform`` followed by
 ``verify`` uses: a count of at most 2^53 errors converts to the float sum of
 zeros and ones exactly. A spec without the curriculum logs the total of
 the whole surface, ``float(surface.sum())``, a pairwise sum that no blocked
-pass reproduces, so it keeps the whole surface. The batch path clamps the
-scores once and feeds that clamp to both the base gradient and the base
-loss that the transform routes by.
+pass reproduces, so it keeps the whole surface. The batch path hands the
+raw scores to both the base gradient and the base loss that the transform
+routes by; each clamps them itself.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class ClassLossAggregate:
 
     L: np.ndarray  # length C, per-class aggregated transformed base loss
     e_h_total: float  # total transformed 0-1 loss
-    n_examples: int
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.L)
 
 
 def aggregate_class_losses(lh, e_h) -> ClassLossAggregate:
@@ -71,30 +66,29 @@ def aggregate_class_losses(lh, e_h) -> ClassLossAggregate:
     e_h = np.asarray(e_h, dtype=np.float64)
     if lh.shape != e_h.shape or lh.ndim != 2:
         raise ValueError(f"surface shape mismatch: {lh.shape} vs {e_h.shape}")
-    return ClassLossAggregate(
-        L=lh.sum(axis=0), e_h_total=float(e_h.sum()), n_examples=lh.shape[0]
-    )
+    return ClassLossAggregate(L=lh.sum(axis=0), e_h_total=float(e_h.sum()))
 
 
-def curriculum_objective(s, agg: ClassLossAggregate, n_classes: int) -> float:
-    """Evaluate the selection objective for a fixed binary vector s."""
+def curriculum_objective(s, agg: ClassLossAggregate) -> float:
+    """Evaluate the selection objective for a fixed binary vector s; C is
+    ``len(agg.L)``."""
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (n_classes,) or len(agg.L) != n_classes:
+    n_classes = len(agg.L)
+    if s.shape != (n_classes,):
         raise ValueError(f"selection length {s.shape} does not match C={n_classes}")
     return float(max(s @ agg.L, n_classes - s.sum() + agg.e_h_total))
 
 
-def brute_force_select(agg: ClassLossAggregate, n_classes: int):
+def brute_force_select(agg: ClassLossAggregate):
     """Exhaustive minimizer of the objective over all 2^C selections.
 
     Ties prefer more selected classes, then the lexicographically smallest
     vector. Only valid for C <= 20; enumeration runs in 64k-mask blocks to
     bound memory.
     """
+    n_classes = len(agg.L)
     if n_classes > 20:
         raise ValueError(f"brute force enumeration limited to C <= 20, got {n_classes}")
-    if len(agg.L) != n_classes:
-        raise ValueError("aggregate length does not match C")
     bits = np.arange(n_classes, dtype=np.uint32)
     best_key, best_s = None, None
     total = 1 << n_classes
@@ -131,7 +125,6 @@ def check_selection_rule(rule: str, thresh: float | None) -> None:
 
 def select_classes(
     agg: ClassLossAggregate,
-    n_classes: int,
     rule: str = RULE_OPTIMAL_PREFIX,
     thresh: float | None = None,
 ) -> np.ndarray:
@@ -145,10 +138,9 @@ def select_classes(
     prefixSum(K) > thresh + 1 - K and selects sorted ranks strictly below K
     (all classes if no K qualifies). Requires an explicit thresh.
     """
-    if len(agg.L) != n_classes:
-        raise ValueError("aggregate length does not match C")
     check_selection_rule(rule, thresh)
     L = np.asarray(agg.L, dtype=np.float64)
+    n_classes = len(L)
     e_total = agg.e_h_total
     order = np.argsort(L, kind="stable")
     s = np.zeros(n_classes, dtype=np.float64)
@@ -252,9 +244,9 @@ def hcl_loss(
         if spec.transform:
             losses.hier_transform_in_place(errors, taxonomy, scope)
         e_total += np.count_nonzero(errors)
-    agg = ClassLossAggregate(L=L, e_h_total=float(e_total), n_examples=n)
-    s = select_classes(agg, taxonomy.n_classes, rule=rule, thresh=thresh)
-    return curriculum_objective(s, agg, taxonomy.n_classes), s
+    agg = ClassLossAggregate(L=L, e_h_total=float(e_total))
+    s = select_classes(agg, rule=rule, thresh=thresh)
+    return curriculum_objective(s, agg), s
 
 
 def hcl_grad(
@@ -274,10 +266,9 @@ def hcl_grad(
     """
     s = np.asarray(s, dtype=np.float64)
     loss_fn, grad_fn = _base_fns(spec, gamma)
-    sc = losses.clamp_scores(scores)
-    base_grad = grad_fn(y, sc, clamped=True)
+    base_grad = grad_fn(y, scores)
     if not spec.transform:
         return s[None, :] * base_grad
-    _, routing = losses.hier_transform(loss_fn(y, sc, clamped=True), taxonomy, scope=scope)
+    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=scope)
     weights = losses.hier_transform_backward(routing, np.broadcast_to(s, routing.shape))
     return weights * base_grad

@@ -247,7 +247,7 @@ def split(d: Dataset, ratios=SPLIT_RATIOS, seed: int = 0) -> Dataset:
         raise ValueError(f"split of {n} examples by {ratios} leaves an empty split: {targets}")
 
     rng = np.random.default_rng(seed)
-    top = d.taxonomy.top_level_ids
+    top = d.taxonomy.levels_index[1]
     group_key = top[np.argmax(d.labels[:, top] == 1, axis=1)]
     tags = np.full(n, -1, dtype=np.int64)
     remaining = list(targets)

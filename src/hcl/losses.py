@@ -19,14 +19,14 @@ the bits of the general ones:
   when asked for it.
 - ``zero_one_errors`` is the 0-1 loss as a bool surface. ``np.maximum`` on
   bool is OR, so the sweep transforms it as it does the float surface, and
-  counting its True entries gives the float sum of the transformed
-  ``zero_one_loss`` exactly: a sum of at most 2^53 zeros and ones has no
+  counting its True entries gives the float sum of the transformed 0/1
+  float surface exactly: a sum of at most 2^53 zeros and ones has no
   rounding, whatever its order.
 - ``bce_loss`` and ``bce_grad`` evaluate each label's branch only on that
   label's elements (``where=`` masks into one output). Every element gets
   the same operations on the same value as in the two-branch ``np.where``
-  form, so the same bits, and a caller that needs both the loss and its
-  gradient clamps the scores once (``clamp_scores``, then ``clamped=True``).
+  form, so the same bits. The output is the clamped copy of the scores
+  that each base function makes for itself.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ def check_decision_threshold(decision_threshold: float) -> None:
 def check_gamma(gamma: float) -> None:
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma == np.inf:  # (1 - p)**inf * ... gives NaN gradients
+        raise ValueError(f"gamma must be finite, got {gamma}")
 
 
 def zero_one_errors(y, s, decision_threshold: float = 0.5) -> np.ndarray:
@@ -94,71 +96,57 @@ def zero_one_errors(y, s, decision_threshold: float = 0.5) -> np.ndarray:
     return np.logical_not(hit, out=hit)
 
 
-def zero_one_loss(y, s, decision_threshold: float = 0.5) -> np.ndarray:
-    """0-1 surface: 1.0 where ``zero_one_errors`` is True, else 0.0."""
-    return zero_one_errors(y, s, decision_threshold).astype(np.float64)
-
-
-def clamp_scores(s) -> np.ndarray:
-    """Scores clamped to [eps, 1-eps], the values every log loss reads."""
-    return np.clip(np.asarray(s, dtype=np.float64), LOG_EPS, 1.0 - LOG_EPS)
-
-
-def _clamped_pair(y, s, clamped: bool):
-    """Labels, clamped scores and an output buffer. The buffer is the
-    clamped scores themselves when they were clamped here, as the branch
-    ops below only ever read an element before writing it."""
+def _clamped_pair(y, s):
+    """Labels and a new array of the scores clamped to [eps, 1-eps], the
+    values every log loss reads. The bce functions write their output over
+    it, as their branch ops only ever read an element before writing it."""
     y, s = _check_pair(y, s)
-    if clamped:
-        return y, s, np.empty_like(s)
-    sc = clamp_scores(s)
-    return y, sc, sc
+    return y, np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
 
 
-def bce_loss(y, s, *, clamped: bool = False) -> np.ndarray:
+def bce_loss(y, s) -> np.ndarray:
     """Binary cross entropy per element, scores clamped to [eps, 1-eps].
 
     ``-log(sc)`` where y > 0, ``-log1p(-sc)`` elsewhere, each evaluated only
-    on its own elements. ``clamped=True`` reads ``s`` as already clamped by
-    ``clamp_scores``.
+    on its own elements.
     """
-    y, sc, out = _clamped_pair(y, s, clamped)
+    y, sc = _clamped_pair(y, s)
     pos = y > 0
     neg = ~pos
-    np.log(sc, out=out, where=pos)
-    np.negative(sc, out=out, where=neg)
-    np.log1p(out, out=out, where=neg)
-    return np.negative(out, out=out)
+    np.log(sc, out=sc, where=pos)
+    np.negative(sc, out=sc, where=neg)
+    np.log1p(sc, out=sc, where=neg)
+    return np.negative(sc, out=sc)
 
 
-def bce_grad(y, s, *, clamped: bool = False) -> np.ndarray:
+def bce_grad(y, s) -> np.ndarray:
     """d(bce)/d(score) per element, evaluated on the clamped score:
     ``-1 / sc`` where y > 0, ``1 / (1 - sc)`` elsewhere, each evaluated only
     on its own elements."""
-    y, sc, out = _clamped_pair(y, s, clamped)
+    y, sc = _clamped_pair(y, s)
     pos = y > 0
     neg = ~pos
-    np.subtract(1.0, sc, out=out, where=neg)
-    np.divide(1.0, out, out=out, where=neg)
-    np.divide(-1.0, sc, out=out, where=pos)
-    return out
+    np.subtract(1.0, sc, out=sc, where=neg)
+    np.divide(1.0, sc, out=sc, where=neg)
+    np.divide(-1.0, sc, out=sc, where=pos)
+    return sc
 
 
-def focal_loss(y, s, gamma: float = 2.0, *, clamped: bool = False) -> np.ndarray:
+def focal_loss(y, s, gamma: float = 2.0) -> np.ndarray:
     """Focal surface (1-p_t)^gamma * (-ln p_t), p_t the true-class score.
 
     gamma=0 reduces exactly to bce_loss.
     """
     check_gamma(gamma)
-    y, sc, _ = _clamped_pair(y, s, clamped)
+    y, sc = _clamped_pair(y, s)
     pt = np.where(y > 0, sc, 1.0 - sc)
     return (1.0 - pt) ** gamma * -np.log(pt)
 
 
-def focal_grad(y, s, gamma: float = 2.0, *, clamped: bool = False) -> np.ndarray:
+def focal_grad(y, s, gamma: float = 2.0) -> np.ndarray:
     """d(focal)/d(score) per element."""
     check_gamma(gamma)
-    y, sc, _ = _clamped_pair(y, s, clamped)
+    y, sc = _clamped_pair(y, s)
     pt = np.where(y > 0, sc, 1.0 - sc)
     # d/dp [(1-p)^g * (-ln p)] = g (1-p)^(g-1) ln p - (1-p)^g / p
     if gamma == 0.0:

@@ -40,7 +40,6 @@ form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +63,6 @@ class EvalReport:
             "mrr": round(100.0 * self.mrr, 2),
             "hierdist": round(self.hier_dist, 2),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _first_in_rank(scores, allowed=None) -> np.ndarray:

@@ -80,7 +80,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curriculum, losses, metrics
-from .curriculum import LOSS_MODES  # re-exported
 from .data import Dataset
 from .taxonomy import Taxonomy
 
@@ -118,8 +117,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}, expected one of {LOSS_MODES}")
+        if self.loss_mode not in curriculum.LOSS_MODES:
+            raise ValueError(
+                f"unknown loss_mode {self.loss_mode!r}, expected one of {curriculum.LOSS_MODES}"
+            )
         if self.transform_scope not in losses.SCOPES:
             raise ValueError(f"unknown transform_scope {self.transform_scope!r}")
         # checked by the loss and the selection too, but only at an epoch's end

@@ -1,10 +1,10 @@
 """Rooted class hierarchy with level, ancestor, LCA and height queries.
 
-Classes are identified by their full path string ("1/2/5"); integer ids are
-assigned by lexicographic path order so every downstream artifact is
-deterministic. An implicit virtual root sits above all top-level classes at
-level 0. It is never a scored class; queries that can land on it return the
-sentinel ``VIRTUAL_ROOT``.
+Classes are identified by their full path string ("1/2/5", components
+joined by ``SEPARATOR``); integer ids are assigned by lexicographic path
+order so every downstream artifact is deterministic. An implicit virtual
+root sits above all top-level classes at level 0. It is never a scored
+class; queries that can land on it return the sentinel ``VIRTUAL_ROOT``.
 
 A ``Taxonomy`` stores the names and two read-only int64 arrays indexed by
 class id: ``parent_ids`` (``VIRTUAL_ROOT`` for a top-level class) and
@@ -14,12 +14,13 @@ heights, leaves, the ancestor table) is derived from them once and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 VIRTUAL_ROOT = -1
+SEPARATOR = "/"
 
 
 @dataclass(eq=False)
@@ -29,12 +30,6 @@ class Taxonomy:
     class_names: tuple[str, ...]
     parent_ids: np.ndarray
     level: np.ndarray
-    separator: str = "/"
-    _name_to_id: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._name_to_id:
-            self._name_to_id = {name: i for i, name in enumerate(self.class_names)}
 
     @property
     def n_classes(self) -> int:
@@ -43,6 +38,10 @@ class Taxonomy:
     @cached_property
     def max_level(self) -> int:
         return int(self.level.max())
+
+    @cached_property
+    def _name_to_id(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.class_names)}
 
     def id_of(self, name: str) -> int:
         try:
@@ -74,10 +73,6 @@ class Taxonomy:
         buckets is a permutation of 0..C-1.
         """
         return tuple(np.flatnonzero(self.level == lvl) for lvl in range(self.max_level + 1))
-
-    @property
-    def top_level_ids(self) -> np.ndarray:
-        return self.levels_index[1]
 
     @cached_property
     def leaf_ids(self) -> np.ndarray:
@@ -117,8 +112,8 @@ class Taxonomy:
                 fh.write(name + "\n")
 
 
-def parse_hierarchy(paths, separator: str = "/") -> Taxonomy:
-    """Build a Taxonomy from separator-delimited path strings.
+def parse_hierarchy(paths) -> Taxonomy:
+    """Build a Taxonomy from ``SEPARATOR``-delimited path strings.
 
     Missing intermediate prefixes are auto-created; duplicate input paths and
     empty paths/components are rejected.
@@ -131,17 +126,16 @@ def parse_hierarchy(paths, separator: str = "/") -> Taxonomy:
     # ends where ``split`` found a separator, so it is the join of the parts
     # before it, and it splits into those same parts
     prefixes: dict[str, tuple[str | None, int]] = {}
-    step = len(separator)
     for p in paths:
         if p in seen:
             raise ValueError(f"duplicate hierarchy path {p!r}")
         seen.add(p)
-        parts = p.split(separator)
+        parts = p.split(SEPARATOR)
         if "" in parts:
             raise ValueError(f"malformed hierarchy path {p!r}: empty component")
-        parent, end = None, -step
+        parent, end = None, -len(SEPARATOR)
         for lvl, part in enumerate(parts, start=1):
-            end += len(part) + step
+            end += len(part) + len(SEPARATOR)
             name = p[:end]
             prefixes[name] = (parent, lvl)
             parent = name
@@ -154,12 +148,10 @@ def parse_hierarchy(paths, separator: str = "/") -> Taxonomy:
     )
     level = np.asarray([prefixes[n][1] for n in names], dtype=np.int64)
     parent_ids.flags.writeable = level.flags.writeable = False
-    return Taxonomy(
-        class_names=names, parent_ids=parent_ids, level=level, separator=separator
-    )
+    return Taxonomy(class_names=names, parent_ids=parent_ids, level=level)
 
 
-def load_hierarchy_file(path, separator: str = "/") -> Taxonomy:
+def load_hierarchy_file(path) -> Taxonomy:
     """Read a hierarchy text file: one path per line, '#' comments ignored."""
     paths = []
     with open(path, encoding="utf-8") as fh:
@@ -167,4 +159,4 @@ def load_hierarchy_file(path, separator: str = "/") -> Taxonomy:
             line = line.strip()
             if line and not line.startswith("#"):
                 paths.append(line)
-    return parse_hierarchy(paths, separator=separator)
+    return parse_hierarchy(paths)

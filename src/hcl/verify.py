@@ -219,8 +219,8 @@ def check_sandwich(trials: int, seed: int, tol: float = 1e-9) -> CheckResult:
         lh, _ = losses.hier_transform(base, tax)
         eh, _ = losses.hier_transform(e01, tax)
         agg = curriculum.aggregate_class_losses(lh, eh)
-        s = curriculum.select_classes(agg, tax.n_classes)
-        value = curriculum.curriculum_objective(s, agg, tax.n_classes)
+        s = curriculum.select_classes(agg)
+        value = curriculum.curriculum_objective(s, agg)
         lo, hi = float(eh.sum()), float(lh.sum())
         if not (lo - tol <= value <= hi + tol):
             res.failures += 1
@@ -248,10 +248,10 @@ def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
         else:
             big_l = rng.uniform(0.0, 5.0, size=c)
         e_total = float(rng.uniform(0.0, 2.0 * c))
-        agg = curriculum.ClassLossAggregate(L=big_l, e_h_total=e_total, n_examples=1)
-        s_fast = select(agg, c)
-        fast_val = curriculum.curriculum_objective(s_fast, agg, c)
-        _, oracle_val = curriculum.brute_force_select(agg, c)
+        agg = curriculum.ClassLossAggregate(L=big_l, e_h_total=e_total)
+        s_fast = select(agg)
+        fast_val = curriculum.curriculum_objective(s_fast, agg)
+        _, oracle_val = curriculum.brute_force_select(agg)
         if abs(fast_val - oracle_val) > tol:
             res.failures += 1
             res.counterexample = {
@@ -265,9 +265,9 @@ def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
         # fixed-threshold rule, with thresh aligned so its condition reads
         # prefixSum(K) > C - K + e_total
         s_thr = curriculum.select_classes(
-            agg, c, rule=curriculum.RULE_FIXED_THRESHOLD, thresh=e_total + c - 1
+            agg, rule=curriculum.RULE_FIXED_THRESHOLD, thresh=e_total + c - 1
         )
-        thr_val = curriculum.curriculum_objective(s_thr, agg, c)
+        thr_val = curriculum.curriculum_objective(s_thr, agg)
         if abs(thr_val - oracle_val) > tol:
             threshold_misses += 1
     res.info["threshold_rule_disagreement_rate"] = threshold_misses / max(trials, 1)

@@ -1,7 +1,15 @@
 """Shared fixtures and the acceptance-summary reporting hook."""
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, so that test times do not depend on what else the machine
+# runs. numpy reads these when it loads its BLAS, so they are set before the
+# first numpy import; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from hcl import taxonomy
 

@@ -353,6 +353,72 @@ def test_bad_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+# every float key of the config, with the settings under which it is read
+FLOAT_KEYS = {
+    "lr": [], "dropout": [], "decision_threshold": [], "focal_gamma": [], "separation": [],
+    "label_noise": [], "selection_thresh": ["selection_rule=fixed-threshold"],
+}
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
+                                                               key, value):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(mlp, "train", no_training)
+    pairs = [*FLOAT_KEYS[key], f"{key}={value}"]
+    rc = _train(tmp_path / "r", [arg for pair in pairs for arg in ("--set", pair)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _run_and_native_dir(tmp_path):
+    """A trained run and a native dataset of the same dims, two levels deep."""
+    run, native = tmp_path / "run", tmp_path / "native"
+    assert _train(run, ["--set", "levels=3"]) == 0
+    assert cli.main([
+        "synth", "--out", str(native), "--levels", "3", "--branching", "2",
+        "--examples-per-leaf", "12", "--feature-dim", "6",
+    ]) == 0
+    return run, native
+
+
+def test_eval_data_dir_reads_leaves_only_from_set(tmp_path, capsys):
+    run, native = _run_and_native_dir(tmp_path)
+    params = mlp.load_checkpoint(run / "checkpoint.bin")
+    d = data.load_native_dir(native)
+    scores = mlp.forward(params, d.features)[0]
+    want = {flag: metrics.evaluate(d.labels, scores, d.taxonomy, leaves_only=flag).to_json_dict()
+            for flag in (False, True)}
+    assert want[False] != want[True]  # the restriction shows on this model
+    for flag in (False, True):
+        capsys.readouterr()
+        rc = cli.main([
+            "eval", "--checkpoint", str(run / "checkpoint.bin"), "--data-dir", str(native),
+            "--set", f"leaves_only={str(flag).lower()}", "--out", str(tmp_path / "e.json"),
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {key: payload[key] for key in want[flag]} == want[flag]
+
+
+def test_eval_data_dir_rejects_an_unknown_config_key(tmp_path, capsys):
+    run, native = _run_and_native_dir(tmp_path)
+    capsys.readouterr()
+    rc = cli.main([
+        "eval", "--checkpoint", str(run / "checkpoint.bin"), "--data-dir", str(native),
+        "--set", "bogus_key=1",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "unknown config key 'bogus_key'" in err
+
+
 def test_missing_dataset_path_is_reported(tmp_path, capsys):
     missing = tmp_path / "nowhere.arff"
     rc = cli.main([

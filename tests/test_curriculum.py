@@ -13,6 +13,7 @@ from hcl.curriculum import (
     aggregate_class_losses,
     brute_force_select,
     curriculum_objective,
+    LOSS_MODES,
     LOSS_PRESETS,
     LossSpec,
     hcl_grad,
@@ -22,10 +23,8 @@ from hcl.curriculum import (
 from hcl.taxonomy import parse_hierarchy
 
 
-def agg_of(L, e_total, n_examples=1):
-    return ClassLossAggregate(
-        L=np.asarray(L, dtype=np.float64), e_h_total=float(e_total), n_examples=n_examples
-    )
+def agg_of(L, e_total):
+    return ClassLossAggregate(L=np.asarray(L, dtype=np.float64), e_h_total=float(e_total))
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +36,6 @@ def test_aggregate_zeros():
     agg = aggregate_class_losses(np.zeros((3, 4)), np.zeros((3, 4)))
     assert np.array_equal(agg.L, np.zeros(4))
     assert agg.e_h_total == 0.0
-    assert agg.n_examples == 3
 
 
 def test_aggregate_column_sum():
@@ -65,17 +63,17 @@ def test_aggregate_shape_mismatch():
 
 def test_objective_all_ones_takes_max_of_sums():
     agg = agg_of([0.5, 0.7], 3.0)
-    assert curriculum_objective(np.ones(2), agg, 2) == pytest.approx(max(1.2, 3.0))
+    assert curriculum_objective(np.ones(2), agg) == pytest.approx(max(1.2, 3.0))
 
 
 def test_objective_all_zeros_is_count_plus_errors():
     agg = agg_of([0.5, 0.7], 3.0)
-    assert curriculum_objective(np.zeros(2), agg, 2) == pytest.approx(5.0)
+    assert curriculum_objective(np.zeros(2), agg) == pytest.approx(5.0)
 
 
 def test_objective_hand_fixture():
     agg = agg_of([0.1, 0.4, 2.0], 1.0)
-    assert curriculum_objective(np.array([1.0, 1.0, 0.0]), agg, 3) == pytest.approx(2.0)
+    assert curriculum_objective(np.array([1.0, 1.0, 0.0]), agg) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -84,33 +82,33 @@ def test_objective_hand_fixture():
 
 
 def test_brute_force_all_zero_losses_selects_everything():
-    s, value = brute_force_select(agg_of([0.0, 0.0, 0.0], 0.0), 3)
+    s, value = brute_force_select(agg_of([0.0, 0.0, 0.0], 0.0))
     assert s.tolist() == [1.0, 1.0, 1.0]
     assert value == 0.0
 
 
 def test_brute_force_single_expensive_class():
-    s, value = brute_force_select(agg_of([5.0], 0.0), 1)
+    s, value = brute_force_select(agg_of([5.0], 0.0))
     assert s.tolist() == [0.0]
     assert value == 1.0
 
 
 def test_brute_force_hand_fixture_value():
-    s, value = brute_force_select(agg_of([0.1, 0.4, 2.0], 1.0), 3)
+    s, value = brute_force_select(agg_of([0.1, 0.4, 2.0], 1.0))
     assert value == pytest.approx(2.0)
     assert s.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_brute_force_tie_prefers_more_classes():
     # K=1 and K=2 both give objective 2; the larger selection wins.
-    s, value = brute_force_select(agg_of([1.0, 1.0], 1.0), 2)
+    s, value = brute_force_select(agg_of([1.0, 1.0], 1.0))
     assert value == pytest.approx(2.0)
     assert s.tolist() == [1.0, 1.0]
 
 
 def test_brute_force_rejects_large_c():
     with pytest.raises(ValueError):
-        brute_force_select(agg_of(np.zeros(21), 0.0), 21)
+        brute_force_select(agg_of(np.zeros(21), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +117,31 @@ def test_brute_force_rejects_large_c():
 
 
 def test_select_all_when_losses_vanish():
-    s = select_classes(agg_of([0.0, 0.0, 0.0], 0.0), 3)
+    s = select_classes(agg_of([0.0, 0.0, 0.0], 0.0))
     assert s.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_select_matches_oracle_on_hand_fixture():
     agg = agg_of([0.1, 0.4, 2.0], 1.0)
-    s = select_classes(agg, 3)
-    s_star, value = brute_force_select(agg, 3)
+    s = select_classes(agg)
+    s_star, value = brute_force_select(agg)
     assert np.array_equal(s, s_star)
-    assert curriculum_objective(s, agg, 3) == pytest.approx(value)
+    assert curriculum_objective(s, agg) == pytest.approx(value)
 
 
 def test_select_takes_largest_minimizing_prefix():
-    s = select_classes(agg_of([1.0, 1.0], 1.0), 2)
+    s = select_classes(agg_of([1.0, 1.0], 1.0))
     assert s.tolist() == [1.0, 1.0]
 
 
-def test_select_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        select_classes(agg_of([1.0], 0.0), 2)
+def test_objective_rejects_a_selection_of_another_length():
+    with pytest.raises(ValueError, match="does not match C=1"):
+        curriculum_objective(np.ones(2), agg_of([1.0], 0.0))
 
 
 def test_select_rejects_unknown_rule():
     with pytest.raises(ValueError):
-        select_classes(agg_of([1.0], 0.0), 1, rule="nope")
+        select_classes(agg_of([1.0], 0.0), rule="nope")
 
 
 @settings(max_examples=120, deadline=None)
@@ -156,9 +154,9 @@ def test_selection_achieves_exhaustive_optimum(seed):
     else:
         L = rng.uniform(0.0, 3.0, size=c)
     agg = agg_of(L, float(rng.uniform(0.0, 2.0 * c)))
-    s = select_classes(agg, c)
-    _, best = brute_force_select(agg, c)
-    assert curriculum_objective(s, agg, c) == pytest.approx(best, abs=1e-9)
+    s = select_classes(agg)
+    _, best = brute_force_select(agg)
+    assert curriculum_objective(s, agg) == pytest.approx(best, abs=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,7 +165,7 @@ def test_selected_set_is_a_prefix_of_the_sorted_losses(seed):
     rng = np.random.default_rng(seed)
     c = int(rng.integers(1, 10))
     L = rng.uniform(0.0, 3.0, size=c)
-    s = select_classes(agg_of(L, float(rng.uniform(0.0, c))), c)
+    s = select_classes(agg_of(L, float(rng.uniform(0.0, c))))
     k = int(s.sum())
     order = np.argsort(L, kind="stable")
     assert np.array_equal(np.sort(np.flatnonzero(s == 1.0)), np.sort(order[:k]))
@@ -180,8 +178,8 @@ def test_harder_zero_one_totals_never_shrink_the_selection(seed, bump):
     c = int(rng.integers(1, 10))
     L = rng.uniform(0.0, 3.0, size=c)
     e = float(rng.uniform(0.0, c))
-    k_before = select_classes(agg_of(L, e), c).sum()
-    k_after = select_classes(agg_of(L, e + bump), c).sum()
+    k_before = select_classes(agg_of(L, e)).sum()
+    k_after = select_classes(agg_of(L, e + bump)).sum()
     assert k_after >= k_before
 
 
@@ -192,7 +190,7 @@ def test_harder_zero_one_totals_never_shrink_the_selection(seed, bump):
 
 def test_threshold_rule_requires_thresh():
     with pytest.raises(ValueError, match="thresh"):
-        select_classes(agg_of([1.0], 0.0), 1, rule=RULE_FIXED_THRESHOLD)
+        select_classes(agg_of([1.0], 0.0), rule=RULE_FIXED_THRESHOLD)
 
 
 @pytest.mark.parametrize("thresh", (np.nan, np.inf, -np.inf))
@@ -200,20 +198,20 @@ def test_threshold_rule_requires_thresh():
 def test_selection_rejects_non_finite_thresh(rule, thresh):
     # before the check, NaN and +inf selected every class and -inf none
     with pytest.raises(ValueError, match=f"selection thresh must be finite, got {thresh}"):
-        select_classes(agg_of([0.1, 0.2], 0.0), 2, rule=rule, thresh=thresh)
+        select_classes(agg_of([0.1, 0.2], 0.0), rule=rule, thresh=thresh)
 
 
 def test_threshold_rule_hand_fixture():
     # sorted L = [0.1, 0.4, 2.0]; prefix sums 0.1, 0.5, 2.5
     # condition prefixSum(K) > thresh + 1 - K with thresh = 1:
     #   K=1: 0.1 > 1 false; K=2: 0.5 > 0 true -> selected ranks < 2 -> one class
-    s = select_classes(agg_of([0.1, 0.4, 2.0], 1.0), 3, rule=RULE_FIXED_THRESHOLD, thresh=1.0)
+    s = select_classes(agg_of([0.1, 0.4, 2.0], 1.0), rule=RULE_FIXED_THRESHOLD, thresh=1.0)
     assert s.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_threshold_rule_selects_all_when_never_tripped():
     s = select_classes(
-        agg_of([0.1, 0.2], 0.0), 2, rule=RULE_FIXED_THRESHOLD, thresh=100.0
+        agg_of([0.1, 0.2], 0.0), rule=RULE_FIXED_THRESHOLD, thresh=100.0
     )
     assert s.tolist() == [1.0, 1.0]
 
@@ -276,9 +274,9 @@ def test_pipeline_matches_exhaustive_search_on_random_instances():
         scores = rng.uniform(0.05, 0.95, size=y.shape)
         value, s = hcl_loss(y, scores, tax)
         lh, _ = losses.hier_transform(losses.bce_loss(y, scores), tax)
-        eh, _ = losses.hier_transform(losses.zero_one_loss(y, scores), tax)
+        eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores), tax)
         agg = aggregate_class_losses(lh, eh)
-        _, best = brute_force_select(agg, c)
+        _, best = brute_force_select(agg)
         assert value == pytest.approx(best, abs=1e-9)
 
 
@@ -290,10 +288,10 @@ def test_pipeline_flat_hierarchy_reduces_to_plain_class_selection(rng):
     scores = rng.uniform(0.05, 0.95, size=y.shape)
     value, s = hcl_loss(y, scores, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
     base = losses.bce_loss(y, scores)
-    agg = aggregate_class_losses(base, losses.zero_one_loss(y, scores))
-    s_ref = select_classes(agg, 3)
+    agg = aggregate_class_losses(base, losses.zero_one_errors(y, scores))
+    s_ref = select_classes(agg)
     assert np.array_equal(s, s_ref)
-    assert value == pytest.approx(curriculum_objective(s_ref, agg, 3))
+    assert value == pytest.approx(curriculum_objective(s_ref, agg))
     grad = hcl_grad(y, scores, s, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
     assert np.array_equal(grad, s_ref * losses.bce_grad(y, scores))
 
@@ -308,13 +306,13 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
     n = int(rng.integers(1, 6))
     y = random_closed_labels(rng, tax, n)
     scores = rng.uniform(0.05, 0.95, size=y.shape)
-    e01 = losses.zero_one_loss(y, scores)
+    e01 = losses.zero_one_errors(y, scores)
     base = e01 + rng.uniform(0.0, 1.0, size=e01.shape)  # dominates 0-1
     lh, _ = losses.hier_transform(base, tax)
     eh, _ = losses.hier_transform(e01, tax)
     agg = aggregate_class_losses(lh, eh)
-    s = select_classes(agg, tax.n_classes)
-    value = curriculum_objective(s, agg, tax.n_classes)
+    s = select_classes(agg)
+    value = curriculum_objective(s, agg)
     assert eh.sum() - 1e-9 <= value <= lh.sum() + 1e-9
 
 
@@ -324,9 +322,7 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
 
 
 def test_loss_modes_are_the_presets_in_order():
-    from hcl import mlp
-
-    assert mlp.LOSS_MODES == tuple(LOSS_PRESETS) == ("ce", "focal", "hcl-hier", "hcl-cl", "hcl")
+    assert LOSS_MODES == tuple(LOSS_PRESETS) == ("ce", "focal", "hcl-hier", "hcl-cl", "hcl")
     assert LOSS_PRESETS["hcl"] == LossSpec()
     assert LOSS_PRESETS["focal"] == LossSpec("focal", transform=False, curriculum=False)
 
@@ -358,10 +354,10 @@ def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
     spec = LossSpec("focal", transform=True, curriculum=True)
     value, s = hcl_loss(y, scores, tax, spec, gamma=1.5)
     lh, routing = losses.hier_transform(losses.focal_loss(y, scores, 1.5), tax)
-    eh, _ = losses.hier_transform(losses.zero_one_loss(y, scores), tax)
+    eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores), tax)
     agg = aggregate_class_losses(lh, eh)
-    assert np.array_equal(s, select_classes(agg, 3))
-    assert value == curriculum_objective(s, agg, 3)
+    assert np.array_equal(s, select_classes(agg))
+    assert value == curriculum_objective(s, agg)
     w = losses.hier_transform_backward(routing, np.broadcast_to(s, y.shape))
     grad = hcl_grad(y, scores, s, tax, spec, gamma=1.5)
     assert np.array_equal(grad, w * losses.focal_grad(y, scores, 1.5))

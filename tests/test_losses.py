@@ -18,7 +18,7 @@ from hcl.losses import (
     focal_loss,
     hier_transform,
     hier_transform_backward,
-    zero_one_loss,
+    zero_one_errors,
 )
 from hcl.taxonomy import parse_hierarchy
 
@@ -53,32 +53,32 @@ def one_row(tax, names):
 def test_zero_one_correct_side_is_zero(two_level_chain):
     y = one_row(two_level_chain, ["p", "p/q"])
     s = np.array([[0.7, 0.9]])
-    assert zero_one_loss(y, s).tolist() == [[0.0, 0.0]]
+    assert zero_one_errors(y, s).tolist() == [[False, False]]
 
 
 def test_zero_one_boundary_score_predicts_negative(two_level_chain):
     y = one_row(two_level_chain, ["p", "p/q"])
     s = np.array([[0.5, 0.9]])
-    assert zero_one_loss(y, s)[0, 0] == 1.0
+    assert zero_one_errors(y, s)[0, 0]
 
 
 def test_zero_one_negative_label_low_score_is_zero(two_level_chain):
     y = one_row(two_level_chain, ["p"])
     s = np.array([[0.9, 0.3]])
-    assert zero_one_loss(y, s)[0, 1] == 0.0
+    assert not zero_one_errors(y, s)[0, 1]
 
 
 def test_zero_one_respects_threshold(two_level_chain):
     y = one_row(two_level_chain, ["p", "p/q"])
     s = np.array([[0.4, 0.4]])
-    assert zero_one_loss(y, s, decision_threshold=0.3).sum() == 0.0
-    assert zero_one_loss(y, s, decision_threshold=0.5).sum() == 2.0
+    assert zero_one_errors(y, s, decision_threshold=0.3).sum() == 0
+    assert zero_one_errors(y, s, decision_threshold=0.5).sum() == 2
 
 
 def test_zero_one_shape_mismatch(two_level_chain):
     y = one_row(two_level_chain, ["p"])
     with pytest.raises(ValueError):
-        zero_one_loss(y, np.array([[0.5]]))
+        zero_one_errors(y, np.array([[0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,14 @@ def test_focal_rejects_negative_gamma(two_level_chain):
     y = one_row(two_level_chain, ["p"])
     with pytest.raises(ValueError):
         focal_loss(y, np.array([[0.5, 0.5]]), gamma=-1.0)
+
+
+@pytest.mark.parametrize("fn", (focal_loss, focal_grad))
+def test_focal_rejects_infinite_gamma(two_level_chain, fn):
+    # (1 - p)**inf times a finite term gave NaN gradients
+    y = one_row(two_level_chain, ["p"])
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        fn(y, np.array([[0.5, 0.5]]), gamma=np.inf)
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,7 +275,7 @@ def test_transform_of_zero_one_loss_stays_binary(rng, height4_forest):
     y = -np.ones((5, tax.n_classes))
     y[:, pos] = 1.0
     s = rng.uniform(0.0, 1.0, size=y.shape)
-    out, _ = hier_transform(zero_one_loss(y, s), tax)
+    out, _ = hier_transform(zero_one_errors(y, s), tax)
     assert set(np.unique(out)) <= {0.0, 1.0}
 
 

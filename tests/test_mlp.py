@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from hcl import curriculum, losses, metrics, mlp
+from hcl.curriculum import LOSS_MODES
 from hcl.data import Dataset, SynthConfig, normalize, split, synth_generate
 from hcl.mlp import (
-    LOSS_MODES,
     MlpParams,
     TrainConfig,
     TrainingDiverged,
@@ -438,7 +438,7 @@ def test_train_config_validation():
 
 
 def _agg():
-    return curriculum.ClassLossAggregate(L=np.zeros(1), e_h_total=0.0, n_examples=1)
+    return curriculum.ClassLossAggregate(L=np.zeros(1), e_h_total=0.0)
 
 
 def _ones():
@@ -447,17 +447,18 @@ def _ones():
 
 # Each value a deep check rejects only when the first epoch ends, with that check.
 DEEP_CHECKS = [
-    (dict(decision_threshold=v), lambda v=v: losses.zero_one_loss(_ones(), _ones(), v))
+    (dict(decision_threshold=v), lambda v=v: losses.zero_one_errors(_ones(), _ones(), v))
     for v in (0.0, 1.0, 1.5, -0.2, math.nan)
 ] + [
     (dict(selection_rule="best-k"),
-     lambda: curriculum.select_classes(_agg(), 1, rule="best-k")),
+     lambda: curriculum.select_classes(_agg(), rule="best-k")),
     (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD),
-     lambda: curriculum.select_classes(_agg(), 1, rule=curriculum.RULE_FIXED_THRESHOLD)),
+     lambda: curriculum.select_classes(_agg(), rule=curriculum.RULE_FIXED_THRESHOLD)),
     (dict(focal_gamma=-1.0), lambda: losses.focal_loss(_ones(), _ones(), gamma=-1.0)),
     (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD, selection_thresh=math.nan),
-     lambda: curriculum.select_classes(_agg(), 1, rule=curriculum.RULE_FIXED_THRESHOLD,
+     lambda: curriculum.select_classes(_agg(), rule=curriculum.RULE_FIXED_THRESHOLD,
                                        thresh=math.nan)),
+    (dict(focal_gamma=math.inf), lambda: losses.focal_grad(_ones(), _ones(), gamma=math.inf)),
 ]
 
 

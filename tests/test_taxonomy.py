@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcl import verify
-from hcl.taxonomy import VIRTUAL_ROOT, Taxonomy, load_hierarchy_file, parse_hierarchy
+from hcl.taxonomy import SEPARATOR, VIRTUAL_ROOT, Taxonomy, load_hierarchy_file, parse_hierarchy
 
 
 def test_parse_basic_paths():
@@ -122,10 +122,10 @@ def test_structural_invariants_on_random_trees(seed):
         p = t.parent_ids[c]
         name = t.class_names[c]
         if p == VIRTUAL_ROOT:
-            assert t.level[c] == 1 and t.separator not in name
+            assert t.level[c] == 1 and SEPARATOR not in name
         else:
             assert t.level[c] == t.level[p] + 1
-            assert name.startswith(t.class_names[p] + t.separator)
+            assert name.startswith(t.class_names[p] + SEPARATOR)
     # levels_index concatenation is a permutation of all ids
     concat = [c for bucket in t.levels_index for c in bucket]
     assert sorted(concat) == list(range(t.n_classes))

@@ -89,8 +89,8 @@ def test_bound_chain_check_catches_a_deflated_transform():
 
 
 def test_selection_check_catches_a_greedy_rule():
-    def select_everything(agg, n_classes, rule=None, thresh=None):
-        return np.ones(n_classes)
+    def select_everything(agg, rule=None, thresh=None):
+        return np.ones(len(agg.L))
 
     r = check_selection_oracle(trials=100, seed=0, select=select_everything)
     assert not r.ok
