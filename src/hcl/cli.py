@@ -280,7 +280,9 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args):
-    """Checkpoint plus the dataset it should be scored on."""
+    """Checkpoint, dataset and leaves-only flag of an eval. The config is
+    ``--config``'s or ``--run``'s file, or the defaults when neither is
+    given, with ``--set`` over it; ``--data-dir`` replaces only its data."""
     checkpoint = args.checkpoint
     config_path = args.config
     if args.run:
@@ -289,17 +291,19 @@ def _load_eval_inputs(args):
     if not checkpoint:
         raise UsageError("eval needs --checkpoint (or --run)")
     params = mlp.load_checkpoint(checkpoint)
-
-    if args.data_dir:
-        # the files are the data, so the overrides apply over the defaults
-        cfg = resolve_config(None, _collect_overrides(args))
-        d = data.load_native_dir(args.data_dir)
-    elif config_path:
-        cfg = resolve_config(config_path, _collect_overrides(args))
-        d = build_dataset(cfg)
-    else:
+    if not (config_path or args.data_dir):
         raise UsageError("eval needs --config, --run or --data-dir to locate the data")
-    return params, d, cfg["leaves_only"], checkpoint
+
+    cfg = resolve_config(config_path, _collect_overrides(args))
+    if not args.data_dir:
+        return params, build_dataset(cfg), cfg["leaves_only"], checkpoint
+    if args.split:
+        raise UsageError(f"--split {args.split} needs split tags, and --data-dir files have none")
+    # the train-split statistics that normalised the training features are not stored
+    if cfg["normalize"]:
+        raise UsageError("--data-dir scores raw features, but the config normalises them; "
+                         "pass --set normalize=false if the checkpoint was trained on raw features")
+    return params, data.load_native_dir(args.data_dir), cfg["leaves_only"], checkpoint
 
 
 def cmd_eval(args) -> int:
@@ -313,7 +317,7 @@ def cmd_eval(args) -> int:
         )
 
     if args.split:
-        idx = d.indices(args.split)  # raises on untagged datasets
+        idx = d.indices(args.split)
         x, y = d.features[idx], d.labels[idx]
     else:
         x, y = d.features, d.labels
@@ -457,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p_eval.add_argument("--run", help="run directory holding checkpoint and resolved config")
     p_eval.add_argument("--checkpoint", help="checkpoint file")
-    p_eval.add_argument("--data-dir", help="native-format dataset directory (no split tags)")
+    p_eval.add_argument("--data-dir", help="native-format dataset directory, scored as it is "
+                        "(no split tags, no normalisation: needs normalize=false)")
     p_eval.add_argument("--split", choices=data.SPLIT_NAMES, help="evaluate one split only")
     p_eval.add_argument("--out", help="where to write the report JSON")
     add_config_flags(p_eval, with_train_shortcuts=False)

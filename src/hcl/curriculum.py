@@ -11,10 +11,13 @@ prefix-optimal solution in the classes sorted by ascending L, which
 exhaustive 2^C oracle used to certify it.
 
 A training loss is a ``LossSpec``: a base loss (bce or focal), the
-hierarchy transform on or off, and the curriculum on or off. The loss modes
-are named presets of it (``LOSS_PRESETS``). ``hcl_loss`` runs a spec's
-epoch-end pass, which yields the selection vector, and ``hcl_grad`` the
-gradient of a batch under a fixed selection.
+hierarchy transform on or off, the curriculum on or off, and the settings
+they read (the transform's scope, the focal gamma, the 0-1 decision
+threshold, the selection rule and its threshold), each checked when the
+spec is made. The loss modes are named presets of it (``LOSS_PRESETS``).
+``hcl_loss`` runs a spec's epoch-end pass, which yields the selection
+vector, and ``hcl_grad`` the gradient of a batch under a fixed selection;
+neither takes a setting the spec does not carry.
 
 The epoch-end pass computes only what selection reads: the column sums L
 of the (transformed) base loss and the scalar e_total. With the curriculum
@@ -168,17 +171,30 @@ BASE_LOSSES = ("bce", "focal")
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A training loss as three switches: the base loss, whether the
-    level-max transform is applied, and whether the curriculum selects the
-    trained classes."""
+    """A training loss: the base loss, whether the level-max transform is
+    applied and whether the curriculum selects the trained classes, plus the
+    settings they read. ``scope`` is the transform's scope, ``gamma`` the
+    focal exponent, ``decision_threshold`` the score above which the 0-1
+    loss predicts +1, and ``rule`` and ``thresh`` the selection rule and its
+    threshold (see ``select_classes``). Every value is checked here."""
 
     base: str = "bce"
     transform: bool = True
     curriculum: bool = True
+    scope: str = losses.SCOPE_ALL_SHALLOWER
+    gamma: float = 2.0
+    decision_threshold: float = 0.5
+    rule: str = RULE_OPTIMAL_PREFIX
+    thresh: float | None = None
 
     def __post_init__(self):
         if self.base not in BASE_LOSSES:
             raise ValueError(f"unknown base loss {self.base!r}, expected one of {BASE_LOSSES}")
+        if self.scope not in losses.SCOPES:
+            raise ValueError(f"unknown transform_scope {self.scope!r}")
+        losses.check_decision_threshold(self.decision_threshold)
+        losses.check_gamma(self.gamma)
+        check_selection_rule(self.rule, self.thresh)
 
 
 # The loss modes that training and the CLI accept, each a preset spec.
@@ -192,26 +208,16 @@ LOSS_PRESETS = {
 LOSS_MODES = tuple(LOSS_PRESETS)
 
 
-def _base_fns(spec: LossSpec, gamma: float):
+def _base_fns(spec: LossSpec):
     """The spec's base loss surface and its gradient, looked up through
     ``losses`` at call time."""
     if spec.base == "focal":
-        return (partial(losses.focal_loss, gamma=gamma),
-                partial(losses.focal_grad, gamma=gamma))
+        return (partial(losses.focal_loss, gamma=spec.gamma),
+                partial(losses.focal_grad, gamma=spec.gamma))
     return losses.bce_loss, losses.bce_grad
 
 
-def hcl_loss(
-    y,
-    scores,
-    taxonomy: Taxonomy,
-    spec: LossSpec = LOSS_PRESETS["hcl"],
-    gamma: float = 2.0,
-    scope: str = losses.SCOPE_ALL_SHALLOWER,
-    decision_threshold: float = 0.5,
-    rule: str = RULE_OPTIMAL_PREFIX,
-    thresh: float | None = None,
-):
+def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     """Full pass of a loss spec: base loss -> transform -> selection -> objective.
 
     Returns ``(value, s)``. With the curriculum, ``s`` is the selection
@@ -221,11 +227,11 @@ def hcl_loss(
     total (transformed) base loss. ``value`` sums over all N x C elements;
     ``hcl_grad`` gives the gradient of the loss that ``s`` weights.
     """
-    loss_fn, _ = _base_fns(spec, gamma)
+    loss_fn, _ = _base_fns(spec)
     if not spec.curriculum:
         surface = loss_fn(y, scores)
         if spec.transform:
-            losses.hier_transform_in_place(surface, taxonomy, scope)
+            losses.hier_transform_in_place(surface, taxonomy, spec.scope)
         return float(surface.sum()), np.ones(taxonomy.n_classes)
     y, scores = losses._check_pair(y, scores)
     n, c = y.shape
@@ -234,30 +240,22 @@ def hcl_loss(
     for rows in losses._row_blocks(n, losses._PASS_ROWS if c > 1 else max(n, 1)):
         surface = loss_fn(y[rows], scores[rows])
         if spec.transform:
-            losses.hier_transform_in_place(surface, taxonomy, scope)
+            losses.hier_transform_in_place(surface, taxonomy, spec.scope)
         if L is None:
             L = surface.sum(axis=0)
         else:  # carry the running sums in as the block's first row
             surface[0] += L
             surface.sum(axis=0, out=L)
-        errors = losses.zero_one_errors(y[rows], scores[rows], decision_threshold)
+        errors = losses.zero_one_errors(y[rows], scores[rows], spec.decision_threshold)
         if spec.transform:
-            losses.hier_transform_in_place(errors, taxonomy, scope)
+            losses.hier_transform_in_place(errors, taxonomy, spec.scope)
         e_total += np.count_nonzero(errors)
     agg = ClassLossAggregate(L=L, e_h_total=float(e_total))
-    s = select_classes(agg, rule=rule, thresh=thresh)
+    s = select_classes(agg, rule=spec.rule, thresh=spec.thresh)
     return curriculum_objective(s, agg), s
 
 
-def hcl_grad(
-    y,
-    scores,
-    s,
-    taxonomy: Taxonomy,
-    spec: LossSpec = LOSS_PRESETS["hcl"],
-    gamma: float = 2.0,
-    scope: str = losses.SCOPE_ALL_SHALLOWER,
-):
+def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     """Per-element gradient w.r.t. the scores of ``sum_ij s_j * surface[i, j]``,
     the surface being the spec's (transformed) base loss and ``s`` frozen.
 
@@ -265,10 +263,10 @@ def hcl_grad(
     element that realized its max; without it, column j is scaled by ``s_j``.
     """
     s = np.asarray(s, dtype=np.float64)
-    loss_fn, grad_fn = _base_fns(spec, gamma)
+    loss_fn, grad_fn = _base_fns(spec)
     base_grad = grad_fn(y, scores)
     if not spec.transform:
         return s[None, :] * base_grad
-    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=scope)
+    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=spec.scope)
     weights = losses.hier_transform_backward(routing, np.broadcast_to(s, routing.shape))
     return weights * base_grad

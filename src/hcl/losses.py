@@ -132,7 +132,7 @@ def bce_grad(y, s) -> np.ndarray:
     return sc
 
 
-def focal_loss(y, s, gamma: float = 2.0) -> np.ndarray:
+def focal_loss(y, s, gamma: float) -> np.ndarray:
     """Focal surface (1-p_t)^gamma * (-ln p_t), p_t the true-class score.
 
     gamma=0 reduces exactly to bce_loss.
@@ -143,7 +143,7 @@ def focal_loss(y, s, gamma: float = 2.0) -> np.ndarray:
     return (1.0 - pt) ** gamma * -np.log(pt)
 
 
-def focal_grad(y, s, gamma: float = 2.0) -> np.ndarray:
+def focal_grad(y, s, gamma: float) -> np.ndarray:
     """d(focal)/d(score) per element."""
     check_gamma(gamma)
     y, sc = _clamped_pair(y, s)

@@ -3,14 +3,16 @@
 Everything runs in float64 and is a pure function of (seed, config, data):
 weight init, batch order and dropout masks all draw from one seeded
 generator in a fixed order. The loss mode names a preset of
-``curriculum.LossSpec``. The training loop recomputes the curriculum
-selection vector once per epoch from a full eval-mode pass over the train
-split; the same pass provides the logged training loss, a per-example mean
-of the spec's (transformed) base loss, or of the curriculum objective when
-the spec has the curriculum. That pass finds only the parameters, the
-optimizer state, the split arrays and the dropout buffers live: the last
-batch's arrays are dropped after the batch loop and the split scores are
-never bound to a name, so every epoch peaks where the first does.
+``curriculum.LossSpec``, and ``TrainConfig.loss_spec`` applies the config's
+loss settings to it; that one spec goes to every loss call. The training
+loop recomputes the curriculum selection vector once per epoch from a full
+eval-mode pass over the train split; the same pass provides the logged
+training loss, a per-example mean of the spec's (transformed) base loss, or
+of the curriculum objective when the spec has the curriculum. That pass
+finds only the parameters, the optimizer state, the split arrays and the
+dropout buffers live: the last batch's arrays are dropped after the batch
+loop and the split scores are never bound to a name, so every epoch peaks
+where the first does.
 
 A forward pass runs in row blocks (``_forward_blocks``): R rows each, the
 remainder merged into the last, so every block has R to 2R - 1 rows and a
@@ -75,7 +77,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,11 +102,11 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "adam"
     loss_mode: str = "hcl"
-    transform_scope: str = losses.SCOPE_ALL_SHALLOWER
-    decision_threshold: float = 0.5
-    focal_gamma: float = 2.0
-    selection_rule: str = curriculum.RULE_OPTIMAL_PREFIX
-    selection_thresh: float | None = None
+    transform_scope: str = curriculum.LossSpec.scope
+    decision_threshold: float = curriculum.LossSpec.decision_threshold
+    focal_gamma: float = curriculum.LossSpec.gamma
+    selection_rule: str = curriculum.LossSpec.rule
+    selection_thresh: float | None = curriculum.LossSpec.thresh
 
     def __post_init__(self):
         if self.hidden_width < 1:
@@ -121,12 +123,18 @@ class TrainConfig:
             raise ValueError(
                 f"unknown loss_mode {self.loss_mode!r}, expected one of {curriculum.LOSS_MODES}"
             )
-        if self.transform_scope not in losses.SCOPES:
-            raise ValueError(f"unknown transform_scope {self.transform_scope!r}")
-        # checked by the loss and the selection too, but only at an epoch's end
-        losses.check_decision_threshold(self.decision_threshold)
-        losses.check_gamma(self.focal_gamma)
-        curriculum.check_selection_rule(self.selection_rule, self.selection_thresh)
+        self.loss_spec()  # the spec checks the loss settings before training starts
+
+    def loss_spec(self) -> curriculum.LossSpec:
+        """The loss mode's preset with this config's loss settings applied."""
+        return replace(
+            curriculum.LOSS_PRESETS[self.loss_mode],
+            scope=self.transform_scope,
+            gamma=self.focal_gamma,
+            decision_threshold=self.decision_threshold,
+            rule=self.selection_rule,
+            thresh=self.selection_thresh,
+        )
 
 
 @dataclass(eq=False)
@@ -378,7 +386,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     losses.check_label_matrix(y_tr, taxonomy)
     losses.check_label_matrix(y_va, taxonomy)
 
-    spec = curriculum.LOSS_PRESETS[cfg.loss_mode]
+    spec = cfg.loss_spec()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dataset.n_features, cfg.hidden_width, taxonomy.n_classes, cfg.seed)
     opt = _Optimizer(cfg, params)
@@ -408,21 +416,12 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
                 mask = np.greater_equal(draws[:len(batch)], cfg.dropout_rate,
                                         out=keep[:len(batch)])
             scores, cache = forward(params, xb, mask, cfg.dropout_rate)
-            dscores = curriculum.hcl_grad(
-                yb, scores, s, taxonomy, spec, cfg.focal_gamma, cfg.transform_scope
-            )
+            dscores = curriculum.hcl_grad(yb, scores, s, taxonomy, spec)
             dscores /= len(batch)  # hcl_grad's array is fresh
             opt.step(params, backward(params, cache, dscores, grads))
         del xb, yb, scores, cache, dscores, grads  # not live through the epoch-end pass
 
-        value, s = curriculum.hcl_loss(
-            y_tr, forward(params, x_tr)[0], taxonomy, spec,
-            gamma=cfg.focal_gamma,
-            scope=cfg.transform_scope,
-            decision_threshold=cfg.decision_threshold,
-            rule=cfg.selection_rule,
-            thresh=cfg.selection_thresh,
-        )
+        value, s = curriculum.hcl_loss(y_tr, forward(params, x_tr)[0], taxonomy, spec)
         train_loss = value / len(y_tr)
         if not np.isfinite(train_loss):
             raise TrainingDiverged(

@@ -327,14 +327,15 @@ def check_gradients(trials: int, seed: int) -> CheckResult:
         # the pipeline under each scope, on this trial's taxonomy and scores
         for key, scope in (("hcl-pipeline", losses.SCOPE_ALL_SHALLOWER),
                            ("hcl-pipeline-ancestors-only", losses.SCOPE_ANCESTORS_ONLY)):
-            _, s_vec = curriculum.hcl_loss(y, scores, tax, scope=scope)
+            spec = curriculum.LossSpec(scope=scope)
+            _, s_vec = curriculum.hcl_loss(y, scores, tax, spec)
 
             def pipeline(sc, s_vec=s_vec, scope=scope):
                 lh, _ = losses.hier_transform(losses.bce_loss(y, sc), tax, scope)
                 return float((s_vec[None, :] * lh).sum())
 
             # the gradient function that training calls
-            checks[key] = (pipeline, curriculum.hcl_grad(y, scores, s_vec, tax, scope=scope))
+            checks[key] = (pipeline, curriculum.hcl_grad(y, scores, s_vec, tax, spec))
 
         for name, (f, analytic) in checks.items():
             err = max_rel_err(analytic, _fd_grad(f, scores))

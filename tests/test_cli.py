@@ -376,10 +376,10 @@ def test_non_finite_float_config_value_exits_2_before_training(tmp_path, monkeyp
     assert "Traceback" not in err
 
 
-def _run_and_native_dir(tmp_path):
+def _run_and_native_dir(tmp_path, extra=()):
     """A trained run and a native dataset of the same dims, two levels deep."""
     run, native = tmp_path / "run", tmp_path / "native"
-    assert _train(run, ["--set", "levels=3"]) == 0
+    assert _train(run, ["--set", "levels=3", *extra]) == 0
     assert cli.main([
         "synth", "--out", str(native), "--levels", "3", "--branching", "2",
         "--examples-per-leaf", "12", "--feature-dim", "6",
@@ -387,23 +387,54 @@ def _run_and_native_dir(tmp_path):
     return run, native
 
 
-def test_eval_data_dir_reads_leaves_only_from_set(tmp_path, capsys):
-    run, native = _run_and_native_dir(tmp_path)
+def _raw_feature_reports(run, native):
+    """The run's checkpoint scored on the native files' raw features, per
+    leaves-only flag."""
     params = mlp.load_checkpoint(run / "checkpoint.bin")
     d = data.load_native_dir(native)
     scores = mlp.forward(params, d.features)[0]
-    want = {flag: metrics.evaluate(d.labels, scores, d.taxonomy, leaves_only=flag).to_json_dict()
+    return {flag: metrics.evaluate(d.labels, scores, d.taxonomy, leaves_only=flag).to_json_dict()
             for flag in (False, True)}
+
+
+def test_eval_data_dir_reads_leaves_only_from_set(tmp_path, capsys):
+    run, native = _run_and_native_dir(tmp_path)
+    want = _raw_feature_reports(run, native)
     assert want[False] != want[True]  # the restriction shows on this model
     for flag in (False, True):
         capsys.readouterr()
         rc = cli.main([
             "eval", "--checkpoint", str(run / "checkpoint.bin"), "--data-dir", str(native),
+            "--set", "normalize=false",
             "--set", f"leaves_only={str(flag).lower()}", "--out", str(tmp_path / "e.json"),
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert {key: payload[key] for key in want[flag]} == want[flag]
+
+
+def test_eval_data_dir_refuses_a_normalised_config(tmp_path, capsys):
+    """The default config normalises the features, and the files are raw."""
+    run, native = _run_and_native_dir(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data-dir", str(native)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--set normalize=false" in err
+
+
+def test_eval_data_dir_reads_normalize_and_leaves_only_from_the_run(tmp_path, capsys):
+    run, native = _run_and_native_dir(
+        tmp_path, ["--set", "normalize=false", "--set", "leaves_only=true"])
+    want = _raw_feature_reports(run, native)
+    assert want[False] != want[True]
+    capsys.readouterr()
+    rc = cli.main(["eval", "--run", str(run), "--data-dir", str(native),
+                   "--out", str(tmp_path / "e.json")])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload[key] for key in want[True]} == want[True]
 
 
 def test_eval_data_dir_rejects_an_unknown_config_key(tmp_path, capsys):

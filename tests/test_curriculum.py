@@ -1,5 +1,7 @@
 """Class-selection objective, fast selection rule, and the exhaustive oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hcl.curriculum import (
     hcl_loss,
     select_classes,
 )
+from hcl.mlp import TrainConfig
 from hcl.taxonomy import parse_hierarchy
 
 
@@ -286,13 +289,14 @@ def test_pipeline_flat_hierarchy_reduces_to_plain_class_selection(rng):
     tax = parse_hierarchy(["u", "v", "w"])
     y = random_closed_labels(rng, tax, n=8)
     scores = rng.uniform(0.05, 0.95, size=y.shape)
-    value, s = hcl_loss(y, scores, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
+    spec = LossSpec(scope=losses.SCOPE_ANCESTORS_ONLY)
+    value, s = hcl_loss(y, scores, tax, spec)
     base = losses.bce_loss(y, scores)
     agg = aggregate_class_losses(base, losses.zero_one_errors(y, scores))
     s_ref = select_classes(agg)
     assert np.array_equal(s, s_ref)
     assert value == pytest.approx(curriculum_objective(s_ref, agg))
-    grad = hcl_grad(y, scores, s, tax, scope=losses.SCOPE_ANCESTORS_ONLY)
+    grad = hcl_grad(y, scores, s, tax, spec)
     assert np.array_equal(grad, s_ref * losses.bce_grad(y, scores))
 
 
@@ -325,6 +329,14 @@ def test_loss_modes_are_the_presets_in_order():
     assert LOSS_MODES == tuple(LOSS_PRESETS) == ("ce", "focal", "hcl-hier", "hcl-cl", "hcl")
     assert LOSS_PRESETS["hcl"] == LossSpec()
     assert LOSS_PRESETS["focal"] == LossSpec("focal", transform=False, curriculum=False)
+    assert TrainConfig().loss_spec() == LossSpec()
+    for mode, preset in LOSS_PRESETS.items():
+        cfg = TrainConfig(loss_mode=mode, transform_scope=losses.SCOPE_ANCESTORS_ONLY,
+                          focal_gamma=1.5, decision_threshold=0.4,
+                          selection_rule=RULE_FIXED_THRESHOLD, selection_thresh=3.0)
+        assert cfg.loss_spec() == replace(preset, scope=losses.SCOPE_ANCESTORS_ONLY, gamma=1.5,
+                                          decision_threshold=0.4, rule=RULE_FIXED_THRESHOLD,
+                                          thresh=3.0)
 
 
 def test_loss_spec_rejects_unknown_base():
@@ -341,8 +353,8 @@ def test_specs_without_curriculum_select_every_class(rng):
     for spec in (LossSpec("bce", False, False), LossSpec("focal", True, False)):
         value, s = hcl_loss(y, scores, tax, spec)
         assert s.tolist() == [1.0, 1.0, 1.0]
-        base_fn = losses.focal_loss if spec.base == "focal" else losses.bce_loss
-        surface = base_fn(y, scores)
+        surface = (losses.focal_loss(y, scores, spec.gamma) if spec.base == "focal"
+                   else losses.bce_loss(y, scores))
         if spec.transform:
             surface, _ = losses.hier_transform(surface, tax)
         assert value == float(surface.sum())
@@ -351,13 +363,13 @@ def test_specs_without_curriculum_select_every_class(rng):
 def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
     tax = parse_hierarchy(["a", "a/b", "a/c"])
     y, scores = separable_instance(tax, rng)
-    spec = LossSpec("focal", transform=True, curriculum=True)
-    value, s = hcl_loss(y, scores, tax, spec, gamma=1.5)
+    spec = LossSpec("focal", gamma=1.5)
+    value, s = hcl_loss(y, scores, tax, spec)
     lh, routing = losses.hier_transform(losses.focal_loss(y, scores, 1.5), tax)
     eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores), tax)
     agg = aggregate_class_losses(lh, eh)
     assert np.array_equal(s, select_classes(agg))
     assert value == curriculum_objective(s, agg)
     w = losses.hier_transform_backward(routing, np.broadcast_to(s, y.shape))
-    grad = hcl_grad(y, scores, s, tax, spec, gamma=1.5)
+    grad = hcl_grad(y, scores, s, tax, spec)
     assert np.array_equal(grad, w * losses.focal_grad(y, scores, 1.5))

@@ -521,16 +521,16 @@ EPOCH_END_TAXONOMIES = {
 }
 
 
-def _slow_epoch_end_aggregate(y, scores, tax, spec, gamma, scope, threshold):
+def _slow_epoch_end_aggregate(y, scores, tax, spec):
     """``hier_transform`` and ``aggregate_class_losses`` of the stacked
     transformed blocks: the column sums of the whole transformed surface."""
     base = (slow_bce_loss(y, scores) if spec.base == "bce"
-            else losses.focal_loss(y, scores, gamma))
-    e01 = slow_zero_one_loss(y, scores, threshold)
+            else losses.focal_loss(y, scores, spec.gamma))
+    e01 = slow_zero_one_loss(y, scores, spec.decision_threshold)
     blocks = losses._row_blocks(len(y))
     if spec.transform:
-        base = np.concatenate([hier_transform(base[b], tax, scope)[0] for b in blocks])
-        e01 = np.concatenate([hier_transform(e01[b], tax, scope)[0] for b in blocks])
+        base = np.concatenate([hier_transform(base[b], tax, spec.scope)[0] for b in blocks])
+        e01 = np.concatenate([hier_transform(e01[b], tax, spec.scope)[0] for b in blocks])
     return curriculum.aggregate_class_losses(base, e01)
 
 
@@ -556,10 +556,10 @@ def test_blocked_epoch_end_pass_matches_whole_surface_aggregate(base, c, which, 
             rng = np.random.default_rng(n + c)
             y = rng.choice([-1, 1], size=(n, c), p=(0.7, 0.3)).astype(np.int8)
             scores = _edge_scores(rng, (n, c))
-            spec = curriculum.LossSpec(base, transform=transform, curriculum=True)
-            value, s = curriculum.hcl_loss(y, scores, tax, spec, gamma=1.5, scope=scope,
-                                           decision_threshold=0.4)
-            ref = _slow_epoch_end_aggregate(y, scores, tax, spec, 1.5, scope, 0.4)
+            spec = curriculum.LossSpec(base, transform=transform, scope=scope, gamma=1.5,
+                                       decision_threshold=0.4)
+            value, s = curriculum.hcl_loss(y, scores, tax, spec)
+            ref = _slow_epoch_end_aggregate(y, scores, tax, spec)
             agg = seen.pop()
             assert agg.e_h_total == ref.e_h_total
             assert np.array_equal(agg.L, ref.L, equal_nan=True)
@@ -611,9 +611,9 @@ def test_blocked_passes_peak_at_a_few_blocks_not_the_whole_split():
 
     y = rng.choice([-1, 1], size=(n, c), p=(0.9, 0.1)).astype(np.int8)
     scores = rng.uniform(size=(n, c))
-    spec = curriculum.LOSS_PRESETS["hcl"]
     for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
-        peak = _traced_peak(lambda: curriculum.hcl_loss(y, scores, tax, spec, scope=scope))
+        spec = curriculum.LossSpec(scope=scope)
+        peak = _traced_peak(lambda: curriculum.hcl_loss(y, scores, tax, spec))
         assert peak <= 3 * block_bytes * c
         assert 8 * n * c > 4 * 3 * block_bytes * c
 
@@ -653,7 +653,6 @@ def _random_train_config(rng, mode, scope):
 @pytest.mark.parametrize("mode", curriculum.LOSS_MODES)
 def test_loss_core_matches_retired_per_mode_dispatch(mode, scope):
     rng = np.random.default_rng(sum(map(ord, mode + scope)))
-    spec = curriculum.LOSS_PRESETS[mode]
     for _ in range(12):
         tax = verify.random_taxonomy(rng)
         cfg = _random_train_config(rng, mode, scope)
@@ -662,18 +661,15 @@ def test_loss_core_matches_retired_per_mode_dispatch(mode, scope):
         scores = _random_scores(rng, y.shape)
 
         s_ref, loss_ref = slow_selection_and_loss(scores, y, tax, cfg)
-        value, s = curriculum.hcl_loss(
-            y, scores, tax, spec, gamma=cfg.focal_gamma, scope=scope,
-            decision_threshold=cfg.decision_threshold,
-            rule=cfg.selection_rule, thresh=cfg.selection_thresh,
-        )
+        spec = cfg.loss_spec()
+        value, s = curriculum.hcl_loss(y, scores, tax, spec)
         assert np.array_equal(s, s_ref)
         assert np.array_equal(value / n, loss_ref, equal_nan=True)
 
         # a batch under the epoch's selection, as the training loop forms it
         batch = rng.permutation(n)[:BLOCK]
         yb, sb = y[batch], scores[batch]
-        grad = curriculum.hcl_grad(yb, sb, s, tax, spec, cfg.focal_gamma, scope) / len(batch)
+        grad = curriculum.hcl_grad(yb, sb, s, tax, spec) / len(batch)
         assert np.array_equal(grad, slow_batch_dscores(sb, yb, s, tax, cfg), equal_nan=True)
 
 
@@ -692,21 +688,21 @@ def _focal_tie_free_scores(rng, y, margin=1e-3):
 @pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
 def test_focal_transform_curriculum_gradient_matches_finite_differences(scope):
     """The spec no loss mode names: focal base, transform and curriculum."""
-    spec = curriculum.LossSpec("focal", transform=True, curriculum=True)
+    spec = curriculum.LossSpec("focal", scope=scope)
     rng = np.random.default_rng(17)
     for _ in range(10):
         tax = verify.random_taxonomy(rng, max_classes=6, max_depth=3)
         n, c = int(rng.integers(2, 5)), tax.n_classes
         y = np.where(rng.random((n, c)) < 0.5, -1.0, 1.0)
         scores = _focal_tie_free_scores(rng, y)
-        _, s_epoch = curriculum.hcl_loss(y, scores, tax, spec, gamma=2.0, scope=scope)
+        _, s_epoch = curriculum.hcl_loss(y, scores, tax, spec)
         for s in (s_epoch, (rng.random(c) < 0.5).astype(np.float64)):
 
             def objective(sc, s=s):
-                lh, _ = hier_transform(losses.focal_loss(y, sc, 2.0), tax, scope)
+                lh, _ = hier_transform(losses.focal_loss(y, sc, spec.gamma), tax, scope)
                 return float((s[None, :] * lh).sum())
 
-            analytic = curriculum.hcl_grad(y, scores, s, tax, spec, 2.0, scope)
+            analytic = curriculum.hcl_grad(y, scores, s, tax, spec)
             fd = verify._fd_grad(objective, scores)
             assert verify.max_rel_err(analytic, fd) < verify.GRAD_RTOL
 
@@ -740,7 +736,7 @@ def slow_train(dataset, taxonomy, cfg):
     each batch's gradients into a fresh vector."""
     x_tr, y_tr = (a[dataset.indices("train")] for a in (dataset.features, dataset.labels))
     x_va, y_va = (a[dataset.indices("valid")] for a in (dataset.features, dataset.labels))
-    spec = curriculum.LOSS_PRESETS[cfg.loss_mode]
+    spec = cfg.loss_spec()
     rng = np.random.default_rng(cfg.seed)
     params = mlp.init_params(dataset.n_features, cfg.hidden_width, taxonomy.n_classes, cfg.seed)
     opt = mlp._Optimizer(cfg, params)
@@ -753,15 +749,10 @@ def slow_train(dataset, taxonomy, cfg):
             mask = (rng.random((len(batch), cfg.hidden_width))
                     >= cfg.dropout_rate).astype(np.float64)
             scores, cache = mlp.forward(params, x_tr[batch], mask, cfg.dropout_rate)
-            dscores = curriculum.hcl_grad(y_tr[batch], scores, s, taxonomy, spec,
-                                          cfg.focal_gamma, cfg.transform_scope) / len(batch)
+            dscores = curriculum.hcl_grad(y_tr[batch], scores, s, taxonomy, spec) / len(batch)
             grads = mlp.MlpParams(np.empty_like(params.flat), params.dims)
             opt.step(params, mlp.backward(params, cache, dscores, grads))
-        value, s = curriculum.hcl_loss(
-            y_tr, mlp.forward(params, x_tr)[0], taxonomy, spec, gamma=cfg.focal_gamma,
-            scope=cfg.transform_scope, decision_threshold=cfg.decision_threshold,
-            rule=cfg.selection_rule, thresh=cfg.selection_thresh,
-        )
+        value, s = curriculum.hcl_loss(y_tr, mlp.forward(params, x_tr)[0], taxonomy, spec)
         rep = metrics.evaluate(y_va, mlp.forward(params, x_va)[0], taxonomy)
         log.append(mlp.EpochLog(epoch, value / len(y_tr), rep.hit_at_1, rep.mrr,
                                 rep.hier_dist, s.copy()))

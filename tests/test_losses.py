@@ -1,6 +1,7 @@
 """Base losses and the level-constrained loss transform."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ def test_bce_and_focal_grads_match_finite_differences(seed):
     y = np.where(rng.random((3, 4)) < 0.5, 1.0, -1.0)
     s = rng.uniform(0.1, 0.9, size=(3, 4))
     h = 1e-6
-    for fn, gn in ((bce_loss, bce_grad), (focal_loss, focal_grad)):
+    for fn, gn in ((bce_loss, bce_grad),
+                   (partial(focal_loss, gamma=2.0), partial(focal_grad, gamma=2.0))):
         analytic = gn(y, s)
         fd = np.zeros_like(s)
         for idx in np.ndindex(s.shape):

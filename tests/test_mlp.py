@@ -435,6 +435,9 @@ def test_train_config_validation():
         TrainConfig(loss_mode="mse")
     with pytest.raises(ValueError):
         TrainConfig(hidden_width=0)
+    for make in (lambda: TrainConfig(transform_scope="x"), lambda: curriculum.LossSpec(scope="x")):
+        with pytest.raises(ValueError, match="^unknown transform_scope 'x'$"):
+            make()
 
 
 def _agg():
@@ -462,13 +465,21 @@ DEEP_CHECKS = [
 ]
 
 
+# TrainConfig's loss settings and the LossSpec fields they set
+SPEC_FIELDS = {"transform_scope": "scope", "focal_gamma": "gamma",
+               "decision_threshold": "decision_threshold", "selection_rule": "rule",
+               "selection_thresh": "thresh"}
+
+
 @pytest.mark.parametrize("bad, deep_check", DEEP_CHECKS)
 def test_train_config_rejects_up_front_what_the_deep_checks_reject(bad, deep_check):
-    with pytest.raises(ValueError) as deep:
-        deep_check()
-    with pytest.raises(ValueError) as early:
-        TrainConfig(**bad)
-    assert str(early.value) == str(deep.value)
+    messages = []
+    for make in (deep_check, lambda: TrainConfig(**bad),
+                 lambda: curriculum.LossSpec(**{SPEC_FIELDS[k]: v for k, v in bad.items()})):
+        with pytest.raises(ValueError) as exc:
+            make()
+        messages.append(str(exc.value))
+    assert messages == messages[:1] * 3
 
 
 @pytest.mark.parametrize("lr", (math.nan, math.inf))
