@@ -37,7 +37,7 @@ SYNTH_KEYS = {
     "label_noise": "label_noise",
     "data_seed": "seed",
 }
-# config key -> TrainConfig field (selection_thresh is converted separately)
+# config key -> TrainConfig field (selection_thresh is passed separately)
 TRAIN_KEYS = {
     "hidden_width": "hidden_width",
     "dropout": "dropout_rate",
@@ -71,7 +71,7 @@ CONFIG_SPEC: dict[str, tuple[type, object]] = {
     "leaves_only": (bool, False),
     **_field_specs(data.SynthConfig, SYNTH_KEYS),
     **_field_specs(mlp.TrainConfig, TRAIN_KEYS),
-    "selection_thresh": (str, ""),  # empty string means unset
+    "selection_thresh": (float, ""),  # an empty value means unset
 }
 
 
@@ -80,8 +80,10 @@ class UsageError(ValueError):
 
 
 def _coerce(key: str, raw: str):
-    typ, _ = CONFIG_SPEC[key]
+    typ, default = CONFIG_SPEC[key]
     raw = raw.strip()
+    if not raw and default == "":  # an empty value leaves the key unset
+        return ""
     if typ is bool:
         low = raw.lower()
         if low in ("true", "1", "yes"):
@@ -189,7 +191,7 @@ def train_config(cfg: dict) -> mlp.TrainConfig:
     thresh = cfg["selection_thresh"]
     return mlp.TrainConfig(
         **{name: cfg[key] for key, name in TRAIN_KEYS.items()},
-        selection_thresh=float(thresh) if str(thresh).strip() else None,
+        selection_thresh=None if thresh == "" else thresh,
     )
 
 

@@ -20,25 +20,23 @@ vector, and ``hcl_grad`` the gradient of a batch under a fixed selection;
 neither takes a setting the spec does not carry.
 
 The epoch-end pass computes only what selection reads: the column sums L
-of the (transformed) base loss and the scalar e_total. With the curriculum
-it sweeps row blocks of ``losses._row_blocks`` (256 rows, the remainder
-merged into the last), so no N x C surface is ever live: per block, the
-base loss, the transform in place without routing
+of the (transformed) base loss and, with the curriculum, the scalar
+e_total. It sweeps row blocks of ``losses._row_blocks`` (256 rows, the
+remainder merged into the last) for every spec, so no N x C surface is ever
+live: per block, the base loss, the transform in place without routing
 (``losses.hier_transform_in_place``), the column sums, and a count of the
 (transformed) bool 0-1 surface of ``losses.zero_one_errors`` rather than a
-sum of a float one. numpy sums a C-contiguous surface over axis 0 row by
-row, in order; adding the running sums into a block's first row before
-summing the block continues that order, so L has the bits of the whole
-surface's column sums. A single column is summed pairwise instead, so C=1
-runs as one block. Everything else reads one row at a time, so the pass
-gives the same bits as ``hier_transform`` followed by
+sum of a float one. numpy sums a C-contiguous surface of several columns
+over axis 0 row by row, in order; adding the running sums into a block's
+first row before summing the block continues that order, so L has the bits
+of the whole surface's column sums. Everything else reads one row at a
+time, so the pass gives the same bits as ``hier_transform`` followed by
 ``aggregate_class_losses`` over the whole surface, the reference that
 ``verify`` uses: a count of at most 2^53 errors converts to the float sum of
-zeros and ones exactly. A spec without the curriculum logs the total of
-the whole surface, ``float(surface.sum())``, a pairwise sum that no blocked
-pass reproduces, so it keeps the whole surface. The batch path hands the
-raw scores to both the base gradient and the base loss that the transform
-routes by; each clamps them itself.
+zeros and ones exactly. A spec without the curriculum skips the 0-1 count
+and logs the sum of L. The batch path hands the raw scores to both the base
+gradient and the base loss that the transform routes by; each clamps them
+itself.
 """
 
 from __future__ import annotations
@@ -126,16 +124,12 @@ def check_selection_rule(rule: str, thresh: float | None) -> None:
         raise ValueError(f"selection thresh must be finite, got {thresh}")
 
 
-def select_classes(
-    agg: ClassLossAggregate,
-    rule: str = RULE_OPTIMAL_PREFIX,
-    thresh: float | None = None,
-) -> np.ndarray:
+def select_classes(agg: ClassLossAggregate, rule: str, thresh: float | None) -> np.ndarray:
     """Pick the curriculum selection vector.
 
-    optimal-prefix (default): classes sorted ascending by L (ties by id);
-    the prefix length K minimizing max(prefixSum(K), C - K + e_total) is
-    selected, largest K on ties.
+    optimal-prefix (``LossSpec``'s default): classes sorted ascending by L
+    (ties by id); the prefix length K minimizing max(prefixSum(K), C - K +
+    e_total) is selected, largest K on ties.
 
     fixed-threshold: simpler fixed-cutoff rule; finds the smallest K with
     prefixSum(K) > thresh + 1 - K and selects sorted ranks strictly below K
@@ -224,20 +218,14 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     vector minimizing the objective over the base loss and the 0-1 loss
     (both transformed when the spec has the transform), and ``value`` is
     that objective. Without it, ``s`` is all ones and ``value`` is the
-    total (transformed) base loss. ``value`` sums over all N x C elements;
-    ``hcl_grad`` gives the gradient of the loss that ``s`` weights.
+    total (transformed) base loss, the sum of its per-class sums. ``value``
+    sums over all N x C elements; ``hcl_grad`` gives the gradient of the
+    loss that ``s`` weights.
     """
     loss_fn, _ = _base_fns(spec)
-    if not spec.curriculum:
-        surface = loss_fn(y, scores)
-        if spec.transform:
-            losses.hier_transform_in_place(surface, taxonomy, spec.scope)
-        return float(surface.sum()), np.ones(taxonomy.n_classes)
     y, scores = losses._check_pair(y, scores)
-    n, c = y.shape
     L, e_total = None, 0
-    # one column is summed pairwise, not row by row: one block
-    for rows in losses._row_blocks(n, losses._PASS_ROWS if c > 1 else max(n, 1)):
+    for rows in losses._row_blocks(len(y)):
         surface = loss_fn(y[rows], scores[rows])
         if spec.transform:
             losses.hier_transform_in_place(surface, taxonomy, spec.scope)
@@ -246,10 +234,13 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
         else:  # carry the running sums in as the block's first row
             surface[0] += L
             surface.sum(axis=0, out=L)
-        errors = losses.zero_one_errors(y[rows], scores[rows], spec.decision_threshold)
-        if spec.transform:
-            losses.hier_transform_in_place(errors, taxonomy, spec.scope)
-        e_total += np.count_nonzero(errors)
+        if spec.curriculum:
+            errors = losses.zero_one_errors(y[rows], scores[rows], spec.decision_threshold)
+            if spec.transform:
+                losses.hier_transform_in_place(errors, taxonomy, spec.scope)
+            e_total += np.count_nonzero(errors)
+    if not spec.curriculum:
+        return float(L.sum()), np.ones(taxonomy.n_classes)
     agg = ClassLossAggregate(L=L, e_h_total=float(e_total))
     s = select_classes(agg, rule=spec.rule, thresh=spec.thresh)
     return curriculum_objective(s, agg), s

@@ -41,14 +41,16 @@ SCOPE_ALL_SHALLOWER = "all-shallower"
 SCOPE_ANCESTORS_ONLY = "ancestors-only"
 SCOPES = (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY)
 
-# Rows per block in the transform sweeps and the backward scatter. It bounds
-# their temporaries however many rows a pass has, and at C=584 a block's
-# temporaries stay in cache: on a 3072-row pass, 64-row blocks ran the
-# ancestors-only sweep about twice as fast as 128 or more.
+# Rows per block in the row-local loops: the transform sweeps, the backward
+# scatter and the sigmoid. It bounds their temporaries however many rows a
+# pass has, and at C=584 a block's temporaries stay in cache: on a 3072-row
+# pass, 64-row blocks ran the ancestors-only sweep about twice as fast as
+# 128 or more.
 _BLOCK_ROWS = 64
 
-# Rows per block of a pass over a whole split (``mlp.forward``, the
-# curriculum's ``hcl_loss``); see ``_row_blocks``.
+# Rows per block of a pass over a whole split (``mlp.forward`` and the
+# hidden layer that ``mlp.backward`` rebuilds, the curriculum's
+# ``hcl_loss``).
 _PASS_ROWS = 256
 
 
@@ -56,7 +58,7 @@ def _row_blocks(n: int, rows: int = _PASS_ROWS) -> list[slice]:
     """Consecutive slices of ``rows`` rows covering ``range(n)``, the
     remainder merged into the last one: with ``n < 2 * rows`` that is one
     slice of all ``n`` rows (also when n is 0), and no slice is shorter than
-    ``rows`` otherwise."""
+    ``rows`` otherwise. Every blocked loop of the package iterates these."""
     starts = range(0, max(rows, n // rows * rows), rows)
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
@@ -81,7 +83,7 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be finite, got {gamma}")
 
 
-def zero_one_errors(y, s, decision_threshold: float = 0.5) -> np.ndarray:
+def zero_one_errors(y, s, decision_threshold: float) -> np.ndarray:
     """Bool 0-1 surface: True where the thresholded score disagrees with the label.
 
     A score exactly at the threshold (or NaN) predicts -1. A label that is
@@ -167,10 +169,9 @@ def _check_surface(base, taxonomy: Taxonomy, scope: str) -> None:
 
 
 def _sweep(base, taxonomy: Taxonomy, scope: str, out, routing=None) -> None:
-    """Run the scope's sweep over blocks of ``_BLOCK_ROWS`` rows."""
+    """Run the scope's sweep over ``_row_blocks`` of ``_BLOCK_ROWS`` rows."""
     sweep = _all_shallower_sweep if scope == SCOPE_ALL_SHALLOWER else _ancestors_sweep
-    for start in range(0, base.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for rows in _row_blocks(base.shape[0], _BLOCK_ROWS):
         sweep(base[rows], taxonomy, out[rows], None if routing is None else routing[rows])
 
 
@@ -186,12 +187,12 @@ def hier_transform(base, taxonomy: Taxonomy, scope: str = SCOPE_ALL_SHALLOWER):
     is NaN routes to j itself, so routing always holds ids in [0, C).
 
     Both scopes sweep the level buckets in ascending order, O(C) per
-    example, over blocks of ``_BLOCK_ROWS`` rows so that the per-level
-    temporaries stay small. ``all-shallower`` carries one running max (and
-    its id) per row across levels. ``ancestors-only`` gathers, per level,
-    each class's parent column of the running max and of its smallest
-    maximizing id: parents sit one level up, so both are final by then, and
-    the running max of a class's chain is its transformed value.
+    example, over ``_row_blocks`` of ``_BLOCK_ROWS`` rows so that the
+    per-level temporaries stay small. ``all-shallower`` carries one running
+    max (and its id) per row across levels. ``ancestors-only`` gathers, per
+    level, each class's parent column of the running max and of its
+    smallest maximizing id: parents sit one level up, so both are final by
+    then, and the running max of a class's chain is its transformed value.
     """
     base = np.asarray(base, dtype=np.float64)
     _check_surface(base, taxonomy, scope)
@@ -201,8 +202,7 @@ def hier_transform(base, taxonomy: Taxonomy, scope: str = SCOPE_ALL_SHALLOWER):
     return out, routing
 
 
-def hier_transform_in_place(surface, taxonomy: Taxonomy,
-                            scope: str = SCOPE_ALL_SHALLOWER) -> None:
+def hier_transform_in_place(surface, taxonomy: Taxonomy, scope: str) -> None:
     """Overwrite ``surface`` with ``hier_transform(surface, taxonomy,
     scope)[0]``, bit for bit, without computing the routing.
 
@@ -280,16 +280,18 @@ def hier_transform_backward(routing, upstream) -> np.ndarray:
         raise ValueError(f"routing/upstream shape mismatch: {routing.shape} vs {upstream.shape}")
     n, c = routing.shape
     out = np.empty((n, c))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = routing[start:start + _BLOCK_ROWS]
+    for rows in _row_blocks(n, _BLOCK_ROWS):
+        block = routing[rows]
+        if not block.size:  # no rows or no classes: nothing to check or scatter
+            continue
         lo, hi = int(block.min()), int(block.max())
         if lo < 0 or hi >= c:
             raise ValueError(f"routing ids must lie in [0, {c}), found {lo if lo < 0 else hi}")
         m = len(block)
         # bincount adds each row's entries in order from 0.0, as np.add.at would
         flat = block + (np.arange(m) * c)[:, None]
-        out[start:start + m] = np.bincount(
-            flat.ravel(), weights=upstream[start:start + m].ravel(), minlength=m * c
+        out[rows] = np.bincount(
+            flat.ravel(), weights=upstream[rows].ravel(), minlength=m * c
         ).reshape(m, c)
     return out
 

@@ -14,10 +14,9 @@ dropout buffers live: the last batch's arrays are dropped after the batch
 loop and the split scores are never bound to a name, so every epoch peaks
 where the first does.
 
-A forward pass runs in row blocks (``_forward_blocks``): R rows each, the
-remainder merged into the last, so every block has R to 2R - 1 rows and a
-call of fewer than 2R rows is one block. R is 256 unless the layers are
-narrow (see below). Each block evaluates
+A forward pass runs in the row blocks of ``losses._row_blocks``: 256 rows
+each, the remainder merged into the last, so every block has 256 to 511
+rows and a call of fewer than 512 rows is one block. Each block evaluates
 ``sigmoid(relu(x @ W1 + b1) * mask_scale @ W2 + b2)`` on its rows one
 expression at a time: its hidden rows go into one scratch array that every
 block reuses, the bias add, ReLU and dropout scale overwrite the matmul's
@@ -25,32 +24,25 @@ output in that order (the same elementwise operation on the same operands,
 only written in place), and the second matmul writes into the block's rows
 of the scores, which the sigmoid then overwrites (see ``_sigmoid``).
 
-The block rule keeps the bits of the whole-split pass. An output element
-reads only its own row, so the elementwise steps give the same bits in any
-blocking, and so does a matmul as long as each block's product runs on the
-same BLAS kernel as the whole product. OpenBLAS 0.3.31 on its SkylakeX
-kernels sends a double product of at most 100**3 multiply-adds to a
-small-matrix kernel that rounds its sums another way: at H=800, 64-row
-blocks at C=12 and 256-row blocks at C=3 changed bits. So a block grows past
-256 rows until both of its products (R x D x H and R x H x C multiply-adds)
-exceed that. numpy runs a product with one output column as gemv, whose
-sums depend on the row count, so H=1 or C=1 is one block. Under this rule a
-block's products had the bits of the same rows of the whole products at
-every size tried on those kernels. OpenBLAS's Haswell and Zen kernels do not
-promise that (some row blocks of 513- and 3073-row products differ, at K=16
-and at K=800), so the tests compare each block with a reference computed
-on that block's rows alone, never with a whole-split product.
+An output element reads only its own row, so the elementwise steps give the
+same bits in any blocking. A matmul need not: BLAS may run a block's
+product on another kernel than the whole product, or round its sums in
+another order. OpenBLAS's Haswell and Zen kernels do (some row blocks of
+513- and 3073-row products differ, at K=16 and at K=800), so the tests
+compare each block with a reference computed on that block's rows alone,
+never with a whole-split product.
 
 What the cache holds: a call of one block, such as every training batch,
 keeps its hidden layer (the scratch itself) for ``backward``. A call of
 several blocks keeps none (``ForwardCache.hidden`` is None), so a scoring or
 epoch-end pass never holds N x H floats: at H=800 the scratch is 1.6-3.3
-MB, where ``hclbench wide``'s 3072 train rows took 19.7 MB. With R = 256 it
-stays under glibc's 4 MiB mmap threshold for H up to 1026, so it comes from
-the heap (see ``_malloc``). ``backward`` after such a call rebuilds the
-hidden layer block by block with the same code, so the gradients have the
-bits that a kept layer would give; it reads the parameters as they are, so
-it must run before they change, as in ``train``.
+MB, where ``hclbench wide``'s 3072 train rows took 19.7 MB. At 511 rows or
+fewer it stays under glibc's 4 MiB mmap threshold for H up to 1026, so it
+comes from the heap (see ``_malloc``). ``backward`` after such a call
+rebuilds the hidden layer block by block with the same code, so the
+gradients have the bits that a kept layer would give; it reads the
+parameters as they are, so it must run before they change, as in
+``train``.
 ``backward`` masks the ReLU with ``hidden > 0``: with a binary mask and
 ``s = 1/(1-rate) >= 1``, a kept unit's ``max(z1, 0) * s`` is positive
 exactly when ``z1 > 0``, and a dropped unit's upstream ``dhidden * 0`` is
@@ -182,19 +174,20 @@ def init_params(n_features: int, hidden_width: int, n_classes: int, seed: int) -
 def _sigmoid(z):
     """Logistic sigmoid written into ``z`` (a float64 array), which it returns.
 
-    Row blocks of ``losses._BLOCK_ROWS`` keep the scratch small. Per block:
-    ``e = exp(-|z|)`` (abs, negate, exp into the scratch), ``num =
-    where(z >= 0, 1, e)``, ``e += 1``, then ``z = num / e``. ``-|z|`` is
-    ``-z`` when z >= 0 and ``z`` otherwise, so each branch runs the same
-    operations on the same values as the stable two-branch form,
-    ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` below
-    (``e + 1`` equals ``1 + e``), and gives the same bits; ``exp`` never
-    overflows. NaN takes the z < 0 branch and stays NaN, though its sign
-    bit may differ from the two-branch form's.
+    Row blocks of ``losses._BLOCK_ROWS`` (``losses._row_blocks``) keep the
+    scratch small. Per block: ``e = exp(-|z|)`` (abs, negate, exp into the
+    scratch), ``num = where(z >= 0, 1, e)``, ``e += 1``, then
+    ``z = num / e``. ``-|z|`` is ``-z`` when z >= 0 and ``z`` otherwise, so
+    each branch runs the same operations on the same values as the stable
+    two-branch form, ``1 / (1 + exp(-z))`` for z >= 0 and
+    ``exp(z) / (1 + exp(z))`` below (``e + 1`` equals ``1 + e``), and gives
+    the same bits; ``exp`` never overflows. NaN takes the z < 0 branch and
+    stays NaN, though its sign bit may differ from the two-branch form's.
     """
-    e_buf = np.empty_like(z[:losses._BLOCK_ROWS])
-    for start in range(0, len(z), losses._BLOCK_ROWS):
-        zb = z[start:start + losses._BLOCK_ROWS]
+    blocks = losses._row_blocks(len(z), losses._BLOCK_ROWS)
+    e_buf = np.empty_like(z[blocks[-1]])  # the last block is the longest
+    for rows in blocks:
+        zb = z[rows]
         e = e_buf[:len(zb)]
         np.abs(zb, out=e)
         np.negative(e, out=e)
@@ -212,19 +205,6 @@ class ForwardCache:
     hidden: np.ndarray | None = field(repr=False)  # post-relu, post-dropout; None past one block
     mask_scale: np.ndarray | None = field(repr=False)
     scores: np.ndarray = field(repr=False)
-
-
-# Multiply-adds up to which OpenBLAS (0.3.31, SkylakeX kernels) runs a
-# double product with its small-matrix kernel, whose sums round otherwise.
-_SMALL_GEMM = 100 ** 3
-
-
-def _forward_blocks(n: int, dims) -> list[slice]:
-    """Row blocks of a forward pass over ``n`` rows (see the module docstring)."""
-    d, h, c = dims
-    if min(h, c) < 2:  # numpy hands a one-column product to gemv: one block
-        return [slice(0, n)]
-    return losses._row_blocks(n, max(losses._PASS_ROWS, _SMALL_GEMM // (h * min(d, c)) + 1))
 
 
 def _hidden_block(params: MlpParams, x, mask_scale, out):
@@ -254,7 +234,7 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         mask_scale = dropout_mask / (1.0 - dropout_rate)
-    blocks = _forward_blocks(len(x), params.dims)
+    blocks = losses._row_blocks(len(x))
     # the last block is the longest; with one block this is the hidden layer
     scratch = np.empty((blocks[-1].stop - blocks[-1].start, params.dims[1]))
     scores = np.empty((len(x), params.dims[2]))
@@ -286,7 +266,7 @@ def backward(params: MlpParams, cache: ForwardCache, dscores, grads: MlpParams) 
     hidden = cache.hidden
     if hidden is None:
         hidden = np.empty((len(cache.x), params.dims[1]))
-        for rows in _forward_blocks(len(cache.x), params.dims):
+        for rows in losses._row_blocks(len(cache.x)):
             _hidden_block(params, cache.x[rows],
                           None if cache.mask_scale is None else cache.mask_scale[rows],
                           hidden[rows])

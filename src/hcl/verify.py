@@ -211,6 +211,7 @@ def check_sandwich(trials: int, seed: int, tol: float = 1e-9) -> CheckResult:
     """
     rng = np.random.default_rng(seed)
     res = CheckResult("objective-sandwich", trials)
+    spec = curriculum.LossSpec()
     for _ in range(trials):
         tax = random_taxonomy(rng)
         n = int(rng.integers(1, 51))
@@ -219,7 +220,7 @@ def check_sandwich(trials: int, seed: int, tol: float = 1e-9) -> CheckResult:
         lh, _ = losses.hier_transform(base, tax)
         eh, _ = losses.hier_transform(e01, tax)
         agg = curriculum.aggregate_class_losses(lh, eh)
-        s = curriculum.select_classes(agg)
+        s = curriculum.select_classes(agg, spec.rule, spec.thresh)
         value = curriculum.curriculum_objective(s, agg)
         lo, hi = float(eh.sum()), float(lh.sum())
         if not (lo - tol <= value <= hi + tol):
@@ -240,6 +241,7 @@ def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
     how often the simpler fixed-threshold rule misses it."""
     rng = np.random.default_rng(seed)
     res = CheckResult("selection-oracle", trials)
+    spec = curriculum.LossSpec()
     threshold_misses = 0
     for _ in range(trials):
         c = int(rng.integers(1, 13))
@@ -249,7 +251,7 @@ def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
             big_l = rng.uniform(0.0, 5.0, size=c)
         e_total = float(rng.uniform(0.0, 2.0 * c))
         agg = curriculum.ClassLossAggregate(L=big_l, e_h_total=e_total)
-        s_fast = select(agg)
+        s_fast = select(agg, spec.rule, spec.thresh)
         fast_val = curriculum.curriculum_objective(s_fast, agg)
         _, oracle_val = curriculum.brute_force_select(agg)
         if abs(fast_val - oracle_val) > tol:

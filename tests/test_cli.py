@@ -337,6 +337,7 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     ("split_ratios=nan,0.2,0.2", "need three positive finite ratios"),
     ("selection_thresh=nan", "selection thresh must be finite, got nan"),
     ("selection_thresh=-inf", "selection thresh must be finite, got -inf"),
+    ("selection_thresh=abc", "config key 'selection_thresh': expected float, got 'abc'"),
 ])
 def test_bad_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
                                                   override, message):

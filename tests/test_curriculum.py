@@ -120,20 +120,20 @@ def test_brute_force_rejects_large_c():
 
 
 def test_select_all_when_losses_vanish():
-    s = select_classes(agg_of([0.0, 0.0, 0.0], 0.0))
+    s = select_classes(agg_of([0.0, 0.0, 0.0], 0.0), RULE_OPTIMAL_PREFIX, None)
     assert s.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_select_matches_oracle_on_hand_fixture():
     agg = agg_of([0.1, 0.4, 2.0], 1.0)
-    s = select_classes(agg)
+    s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     s_star, value = brute_force_select(agg)
     assert np.array_equal(s, s_star)
     assert curriculum_objective(s, agg) == pytest.approx(value)
 
 
 def test_select_takes_largest_minimizing_prefix():
-    s = select_classes(agg_of([1.0, 1.0], 1.0))
+    s = select_classes(agg_of([1.0, 1.0], 1.0), RULE_OPTIMAL_PREFIX, None)
     assert s.tolist() == [1.0, 1.0]
 
 
@@ -144,7 +144,7 @@ def test_objective_rejects_a_selection_of_another_length():
 
 def test_select_rejects_unknown_rule():
     with pytest.raises(ValueError):
-        select_classes(agg_of([1.0], 0.0), rule="nope")
+        select_classes(agg_of([1.0], 0.0), rule="nope", thresh=None)
 
 
 @settings(max_examples=120, deadline=None)
@@ -157,7 +157,7 @@ def test_selection_achieves_exhaustive_optimum(seed):
     else:
         L = rng.uniform(0.0, 3.0, size=c)
     agg = agg_of(L, float(rng.uniform(0.0, 2.0 * c)))
-    s = select_classes(agg)
+    s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     _, best = brute_force_select(agg)
     assert curriculum_objective(s, agg) == pytest.approx(best, abs=1e-9)
 
@@ -168,7 +168,7 @@ def test_selected_set_is_a_prefix_of_the_sorted_losses(seed):
     rng = np.random.default_rng(seed)
     c = int(rng.integers(1, 10))
     L = rng.uniform(0.0, 3.0, size=c)
-    s = select_classes(agg_of(L, float(rng.uniform(0.0, c))))
+    s = select_classes(agg_of(L, float(rng.uniform(0.0, c))), RULE_OPTIMAL_PREFIX, None)
     k = int(s.sum())
     order = np.argsort(L, kind="stable")
     assert np.array_equal(np.sort(np.flatnonzero(s == 1.0)), np.sort(order[:k]))
@@ -181,8 +181,8 @@ def test_harder_zero_one_totals_never_shrink_the_selection(seed, bump):
     c = int(rng.integers(1, 10))
     L = rng.uniform(0.0, 3.0, size=c)
     e = float(rng.uniform(0.0, c))
-    k_before = select_classes(agg_of(L, e)).sum()
-    k_after = select_classes(agg_of(L, e + bump)).sum()
+    k_before = select_classes(agg_of(L, e), RULE_OPTIMAL_PREFIX, None).sum()
+    k_after = select_classes(agg_of(L, e + bump), RULE_OPTIMAL_PREFIX, None).sum()
     assert k_after >= k_before
 
 
@@ -193,7 +193,7 @@ def test_harder_zero_one_totals_never_shrink_the_selection(seed, bump):
 
 def test_threshold_rule_requires_thresh():
     with pytest.raises(ValueError, match="thresh"):
-        select_classes(agg_of([1.0], 0.0), rule=RULE_FIXED_THRESHOLD)
+        select_classes(agg_of([1.0], 0.0), rule=RULE_FIXED_THRESHOLD, thresh=None)
 
 
 @pytest.mark.parametrize("thresh", (np.nan, np.inf, -np.inf))
@@ -277,7 +277,7 @@ def test_pipeline_matches_exhaustive_search_on_random_instances():
         scores = rng.uniform(0.05, 0.95, size=y.shape)
         value, s = hcl_loss(y, scores, tax)
         lh, _ = losses.hier_transform(losses.bce_loss(y, scores), tax)
-        eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores), tax)
+        eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores, 0.5), tax)
         agg = aggregate_class_losses(lh, eh)
         _, best = brute_force_select(agg)
         assert value == pytest.approx(best, abs=1e-9)
@@ -292,8 +292,8 @@ def test_pipeline_flat_hierarchy_reduces_to_plain_class_selection(rng):
     spec = LossSpec(scope=losses.SCOPE_ANCESTORS_ONLY)
     value, s = hcl_loss(y, scores, tax, spec)
     base = losses.bce_loss(y, scores)
-    agg = aggregate_class_losses(base, losses.zero_one_errors(y, scores))
-    s_ref = select_classes(agg)
+    agg = aggregate_class_losses(base, losses.zero_one_errors(y, scores, 0.5))
+    s_ref = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     assert np.array_equal(s, s_ref)
     assert value == pytest.approx(curriculum_objective(s_ref, agg))
     grad = hcl_grad(y, scores, s, tax, spec)
@@ -310,12 +310,12 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
     n = int(rng.integers(1, 6))
     y = random_closed_labels(rng, tax, n)
     scores = rng.uniform(0.05, 0.95, size=y.shape)
-    e01 = losses.zero_one_errors(y, scores)
+    e01 = losses.zero_one_errors(y, scores, 0.5)
     base = e01 + rng.uniform(0.0, 1.0, size=e01.shape)  # dominates 0-1
     lh, _ = losses.hier_transform(base, tax)
     eh, _ = losses.hier_transform(e01, tax)
     agg = aggregate_class_losses(lh, eh)
-    s = select_classes(agg)
+    s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     value = curriculum_objective(s, agg)
     assert eh.sum() - 1e-9 <= value <= lh.sum() + 1e-9
 
@@ -357,7 +357,7 @@ def test_specs_without_curriculum_select_every_class(rng):
                    else losses.bce_loss(y, scores))
         if spec.transform:
             surface, _ = losses.hier_transform(surface, tax)
-        assert value == float(surface.sum())
+        assert value == float(surface.sum(axis=0).sum())  # the sum of the per-class sums
 
 
 def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
@@ -366,9 +366,9 @@ def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
     spec = LossSpec("focal", gamma=1.5)
     value, s = hcl_loss(y, scores, tax, spec)
     lh, routing = losses.hier_transform(losses.focal_loss(y, scores, 1.5), tax)
-    eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores), tax)
+    eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores, 0.5), tax)
     agg = aggregate_class_losses(lh, eh)
-    assert np.array_equal(s, select_classes(agg))
+    assert np.array_equal(s, select_classes(agg, RULE_OPTIMAL_PREFIX, None))
     assert value == curriculum_objective(s, agg)
     w = losses.hier_transform_backward(routing, np.broadcast_to(s, y.shape))
     grad = hcl_grad(y, scores, s, tax, spec)

@@ -4,25 +4,29 @@ The references below are the per-class ancestors-only loop, an independent
 per-class all-shallower scan, the ``np.add.at`` scatter, the allocating
 Adam step, the masked gather/scatter sigmoid and the allocating MLP
 forward and backward passes (whose cache kept the pre-ReLU ``z1``), that
-forward pass run on each row block's rows alone (never a whole-split
-product, whose row blocks some BLAS kernels round differently), the
-whole-surface aggregate of the epoch-end pass, the per-mode dispatch of
-the training loss that the loss specs in ``curriculum`` replaced, the
-two-branch ``np.where`` bce loss and gradient, the float 0-1 surface that the epoch-end pass summed, the
-training loop that allocated each dropout mask afresh, the parent-walking
-tree queries that the ``Taxonomy.path_ids`` table replaced, the per-example
-ranking and LCA loops of ``metrics.evaluate``, the column-gather check of
+forward pass run on each 256-row block's rows alone (never a whole-split
+product, whose row blocks some BLAS kernels round differently; one-column
+products included), the whole-surface aggregate of the epoch-end pass, the
+per-mode dispatch of the training loss that the loss specs in
+``curriculum`` replaced (a loss without the curriculum now the sum of its
+per-class sums), the two-branch ``np.where`` bce loss and gradient, the
+float 0-1 surface that the epoch-end pass summed, the training loop that
+allocated each dropout mask afresh, the parent-walking tree queries that
+the ``Taxonomy.path_ids`` table replaced, the per-example ranking and LCA
+loops of ``metrics.evaluate``, the column-gather check of
 ``losses.check_label_matrix``, the prefix-joining
-``taxonomy.parse_hierarchy``, the per-class loops of label closure and
-of the native label writer, and the per-example synthetic generator. The
+``taxonomy.parse_hierarchy``, the per-class loops of label closure and of
+the native label writer, and the per-example synthetic generator. The
 tree references read each class's parent, children and level off its path
 string (``tree_from_names``), not off the ``Taxonomy`` arrays under test.
-The fast paths keep their arithmetic, so every comparison is bitwise
-(``np.array_equal``), not within a tolerance.
+The blocked passes also run on no rows and peak at a few blocks in every
+loss preset. The fast paths keep their arithmetic, so every comparison is
+bitwise (``np.array_equal``), not within a tolerance.
 """
 
 import json
 import tracemalloc
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -145,13 +149,15 @@ def slow_selection_and_loss(scores, y, taxonomy, cfg):
     n = len(y)
     c = taxonomy.n_classes
     mode = cfg.loss_mode
+    # a loss without the curriculum is the sum of its per-class sums
     if mode == "ce":
-        return np.ones(c), float(losses.bce_loss(y, scores).sum() / n)
+        return np.ones(c), float(losses.bce_loss(y, scores).sum(axis=0).sum()) / n
     if mode == "focal":
-        return np.ones(c), float(losses.focal_loss(y, scores, cfg.focal_gamma).sum() / n)
+        surface = losses.focal_loss(y, scores, cfg.focal_gamma)
+        return np.ones(c), float(surface.sum(axis=0).sum()) / n
     if mode == "hcl-hier":
         lh, _ = losses.hier_transform(losses.bce_loss(y, scores), taxonomy, cfg.transform_scope)
-        return np.ones(c), float(lh.sum() / n)
+        return np.ones(c), float(lh.sum(axis=0).sum()) / n
     if mode == "hcl-cl":
         base = losses.bce_loss(y, scores)
         e01 = slow_zero_one_loss(y, scores, cfg.decision_threshold)
@@ -408,17 +414,10 @@ def test_sigmoid_matches_masked_reference_on_edge_logits():
 # row-blocked forward pass and epoch-end pass
 # ---------------------------------------------------------------------------
 
-# (D, H, C) for H in {800, 4} and C in {3, 12, 584}; at H=4, D keeps the
-# blocks few enough rows to test (see ``_forward_rows``)
+# (D, H, C) for H in {800, 4} and C in {3, 12, 584}, then one-column
+# products (H=1 or C=1), which numpy runs as gemv
 BLOCKED_DIMS = ((16, 800, 3), (16, 800, 12), (16, 800, 584),
-                (3, 4, 3), (12, 4, 12), (250, 4, 584))
-
-
-def _forward_rows(dims):
-    """The documented block rule: 256 rows, or more where a block's products
-    would have at most 100**3 multiply-adds."""
-    d, h, c = dims
-    return max(256, 100 ** 3 // (h * min(d, c)) + 1)
+                (3, 4, 3), (12, 4, 12), (250, 4, 584), (16, 1, 12), (16, 800, 1))
 
 
 def _block_row_counts(r):
@@ -429,11 +428,11 @@ def _block_row_counts(r):
 
 def _blocked_forward_case(dims, which, rate):
     d, h, c = dims
-    n = _block_row_counts(_forward_rows(dims))[which]
+    n = _block_row_counts(losses._PASS_ROWS)[which]
     rng = np.random.default_rng(n + c)
     params = mlp.init_params(d, h, c, seed=n)
     params.b1[:] = rng.normal(scale=0.5, size=h)
-    params.b1[:2] = (0.0, -0.0)  # exact zeros reach the ReLU from zero rows
+    params.b1[:2] = (0.0, -0.0)[:h]  # exact zeros reach the ReLU from zero rows
     params.b2[:] = rng.normal(scale=4.0, size=c)
     x = rng.normal(scale=2.0, size=(n, d))
     x[::7] = 0.0
@@ -461,8 +460,8 @@ def _per_block_reference(params, x, blocks, **kw):
 def test_blocked_forward_matches_per_block_reference(dims, which):
     for rate in (None, 0.25) if dims[1] == 800 else (None,):
         rng, params, x, kw = _blocked_forward_case(dims, which, rate)
-        n, r = len(x), _forward_rows(params.dims)
-        blocks = mlp._forward_blocks(n, params.dims)
+        n, r = len(x), losses._PASS_ROWS
+        blocks = losses._row_blocks(n)
         assert [b.stop - b.start for b in blocks] == (
             [n] if n < 2 * r else [r] * (n // r - 1) + [r + n % r])
         scores, cache = mlp.forward(params, x, **kw)
@@ -490,20 +489,12 @@ def test_multi_block_backward_keeps_signed_zeros_of_dropped_units():
     scores, cache = mlp.forward(params, x, **kw)
     assert cache.hidden is None
     upstream = -np.random.default_rng(1).uniform(0.1, 3.0, scores.shape)
-    ref_cache = _per_block_reference(params, x, mlp._forward_blocks(len(x), params.dims), **kw)[1]
+    ref_cache = _per_block_reference(params, x, losses._row_blocks(len(x)), **kw)[1]
     grads = mlp.backward(params, cache, upstream,
                          mlp.MlpParams(np.empty_like(params.flat), params.dims))
     assert (grads.b1[:4] == 0).all()
     for fast, slow in zip(_views(grads), slow_mlp_backward(params, ref_cache, upstream)):
         assert _same_bits(fast, slow)
-
-
-def test_one_column_products_run_as_one_block():
-    """numpy hands a product with one output column to gemv, whose sums
-    depend on the row count, so C=1 and H=1 never split."""
-    for dims in ((16, 800, 1), (16, 1, 12)):
-        assert mlp._forward_blocks(5000, dims) == [slice(0, 5000)]
-    assert len(mlp._forward_blocks(5000, (16, 800, 2))) > 1
 
 
 def _complete_taxonomy(branching, levels):
@@ -565,20 +556,9 @@ def test_blocked_epoch_end_pass_matches_whole_surface_aggregate(base, c, which, 
             assert np.array_equal(agg.L, ref.L, equal_nan=True)
             finite = ~np.isnan(ref.L)
             assert _same_bits(agg.L[finite], ref.L[finite])
-            s_ref = select(ref)
+            s_ref = select(ref, spec.rule, spec.thresh)
             assert np.array_equal(s, s_ref)
             assert _same_bits(value, curriculum.curriculum_objective(s_ref, ref))
-
-
-def test_one_class_epoch_end_pass_sums_its_column_whole(monkeypatch):
-    """numpy sums a lone column pairwise, so C=1 runs as one block."""
-    seen, _ = _capture_aggregates(monkeypatch)
-    rng = np.random.default_rng(8)
-    n = 12 * losses._PASS_ROWS + 5
-    y = rng.choice([-1, 1], size=(n, 1))
-    scores = rng.uniform(size=(n, 1)) ** 8  # losses over several magnitudes
-    curriculum.hcl_loss(y, scores, parse_hierarchy(["a"]))
-    assert _same_bits(seen[0].L, slow_bce_loss(y, scores).sum(axis=0))
 
 
 def _traced_peak(fn):
@@ -594,8 +574,8 @@ def _traced_peak(fn):
 
 def test_blocked_passes_peak_at_a_few_blocks_not_the_whole_split():
     """Over 32 blocks of rows, forward holds the scores and one hidden block,
-    and the epoch-end pass a few (block x C) temporaries; a whole N x H or
-    N x C temporary is many times either bound."""
+    and every preset's epoch-end pass a few (block x C) temporaries; a whole
+    N x H or N x C temporary is several times either bound."""
     d, h, c = 16, 800, 584
     tax = EPOCH_END_TAXONOMIES[c]
     r = losses._PASS_ROWS
@@ -611,11 +591,40 @@ def test_blocked_passes_peak_at_a_few_blocks_not_the_whole_split():
 
     y = rng.choice([-1, 1], size=(n, c), p=(0.9, 0.1)).astype(np.int8)
     scores = rng.uniform(size=(n, c))
-    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
-        spec = curriculum.LossSpec(scope=scope)
-        peak = _traced_peak(lambda: curriculum.hcl_loss(y, scores, tax, spec))
-        assert peak <= 3 * block_bytes * c
-        assert 8 * n * c > 4 * 3 * block_bytes * c
+    # the focal surface takes more block-sized temporaries than the bce one
+    bound = {"bce": 3 * block_bytes * c, "focal": 5 * block_bytes * c}
+    assert 8 * n * c > 4 * bound["bce"] and 8 * n * c > 3 * bound["focal"]
+    for mode, preset in curriculum.LOSS_PRESETS.items():
+        for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+            spec = replace(preset, scope=scope)
+            peak = _traced_peak(lambda: curriculum.hcl_loss(y, scores, tax, spec))
+            assert peak <= bound[spec.base], (mode, scope, peak)
+
+
+@pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
+@pytest.mark.parametrize("mode", curriculum.LOSS_MODES)
+def test_zero_rows_pass_through_every_blocked_loop(mode, scope):
+    """No rows are one empty block: each pass returns its empty result, and
+    the epoch-end pass the all-zero aggregate's."""
+    tax = EPOCH_END_TAXONOMIES[12]
+    y, scores = np.ones((0, 12)), np.empty((0, 12))
+    out, routing = hier_transform(scores, tax, scope)
+    assert out.shape == routing.shape == (0, 12)
+    for surface in (np.empty((0, 12)), np.empty((0, 12), dtype=bool)):
+        losses.hier_transform_in_place(surface, tax, scope)
+    assert losses.hier_transform_backward(routing, out).shape == (0, 12)
+
+    params = mlp.init_params(16, 800, 12, seed=0)
+    out, cache = mlp.forward(params, np.empty((0, 16)))
+    assert out.shape == (0, 12)
+    grads = mlp.backward(params, cache, out, mlp.MlpParams(np.empty_like(params.flat),
+                                                           params.dims))
+    assert not grads.flat.any()
+
+    spec = replace(curriculum.LOSS_PRESETS[mode], scope=scope)
+    value, s = curriculum.hcl_loss(y, scores, tax, spec)
+    assert value == 0.0 and s.tolist() == [1.0] * 12
+    assert curriculum.hcl_grad(y, scores, s, tax, spec).shape == (0, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +832,7 @@ def test_in_place_value_sweep_equals_hier_transform_values(seed):
 def test_in_place_value_sweep_rejects_what_it_cannot_overwrite_exactly(surface):
     tax = parse_hierarchy(["a", "a/x"])
     with pytest.raises(ValueError, match="float64 or bool array"):
-        losses.hier_transform_in_place(surface, tax)
+        losses.hier_transform_in_place(surface, tax, SCOPE_ALL_SHALLOWER)
 
 
 @settings(max_examples=60, deadline=None)

@@ -54,19 +54,19 @@ def one_row(tax, names):
 def test_zero_one_correct_side_is_zero(two_level_chain):
     y = one_row(two_level_chain, ["p", "p/q"])
     s = np.array([[0.7, 0.9]])
-    assert zero_one_errors(y, s).tolist() == [[False, False]]
+    assert zero_one_errors(y, s, 0.5).tolist() == [[False, False]]
 
 
 def test_zero_one_boundary_score_predicts_negative(two_level_chain):
     y = one_row(two_level_chain, ["p", "p/q"])
     s = np.array([[0.5, 0.9]])
-    assert zero_one_errors(y, s)[0, 0]
+    assert zero_one_errors(y, s, 0.5)[0, 0]
 
 
 def test_zero_one_negative_label_low_score_is_zero(two_level_chain):
     y = one_row(two_level_chain, ["p"])
     s = np.array([[0.9, 0.3]])
-    assert not zero_one_errors(y, s)[0, 1]
+    assert not zero_one_errors(y, s, 0.5)[0, 1]
 
 
 def test_zero_one_respects_threshold(two_level_chain):
@@ -79,7 +79,7 @@ def test_zero_one_respects_threshold(two_level_chain):
 def test_zero_one_shape_mismatch(two_level_chain):
     y = one_row(two_level_chain, ["p"])
     with pytest.raises(ValueError):
-        zero_one_errors(y, np.array([[0.5]]))
+        zero_one_errors(y, np.array([[0.5]]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_transform_of_zero_one_loss_stays_binary(rng, height4_forest):
     y = -np.ones((5, tax.n_classes))
     y[:, pos] = 1.0
     s = rng.uniform(0.0, 1.0, size=y.shape)
-    out, _ = hier_transform(zero_one_errors(y, s), tax)
+    out, _ = hier_transform(zero_one_errors(y, s, 0.5), tax)
     assert set(np.unique(out)) <= {0.0, 1.0}
 
 

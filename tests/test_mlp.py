@@ -454,9 +454,10 @@ DEEP_CHECKS = [
     for v in (0.0, 1.0, 1.5, -0.2, math.nan)
 ] + [
     (dict(selection_rule="best-k"),
-     lambda: curriculum.select_classes(_agg(), rule="best-k")),
+     lambda: curriculum.select_classes(_agg(), rule="best-k", thresh=None)),
     (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD),
-     lambda: curriculum.select_classes(_agg(), rule=curriculum.RULE_FIXED_THRESHOLD)),
+     lambda: curriculum.select_classes(_agg(), rule=curriculum.RULE_FIXED_THRESHOLD,
+                                       thresh=None)),
     (dict(focal_gamma=-1.0), lambda: losses.focal_loss(_ones(), _ones(), gamma=-1.0)),
     (dict(selection_rule=curriculum.RULE_FIXED_THRESHOLD, selection_thresh=math.nan),
      lambda: curriculum.select_classes(_agg(), rule=curriculum.RULE_FIXED_THRESHOLD,
