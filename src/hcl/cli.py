@@ -216,14 +216,12 @@ def _dataset_name(cfg: dict) -> str:
     return os.path.splitext(os.path.basename(os.path.normpath(path)))[0]
 
 
-def _final_reports(params, d: data.Dataset, leaves_only: bool) -> dict:
-    out = {}
-    for name in data.SPLIT_NAMES:
-        idx = d.indices(name)
-        # scores passed on unbound, so no split's scores outlive its evaluation
-        out[name] = metrics.evaluate(d.labels[idx], mlp.forward(params, d.features[idx])[0],
-                                     d.taxonomy, leaves_only=leaves_only)
-    return out
+def _score(params, d: data.Dataset, rows, leaves_only: bool) -> metrics.EvalReport:
+    """Evaluate ``params`` on ``rows`` of ``d``: an index array, or
+    ``slice(None)`` for every row without a copy."""
+    # the scores are passed on unbound, so they never outlive the evaluation
+    return metrics.evaluate(d.labels[rows], mlp.forward(params, d.features[rows])[0],
+                            d.taxonomy, leaves_only=leaves_only)
 
 
 def _selection_history(log, tax: Taxonomy) -> list[dict]:
@@ -243,21 +241,39 @@ def _write_metrics_jsonl(log, path) -> None:
             fh.write(json.dumps(entry.jsonl_dict(), sort_keys=True) + "\n")
 
 
-def cmd_train(args) -> int:
+def _write_json(obj, path) -> str:
+    """Write ``obj`` as indented, key-sorted JSON with a final newline;
+    returns the text written."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
+
+
+def _start_run(args, command: str):
+    """Config, dataset, training config and run directory of a train or
+    ablate run. Every value is checked before the directory is made, and
+    the resolved config is written to it as the run starts."""
     cfg = resolve_config(args.config, _collect_overrides(args))
     d = build_dataset(cfg)
     tc = train_config(cfg)
-    run_dir = make_run_dir(args.out, "train", tc.seed)
+    run_dir = make_run_dir(args.out, command, tc.seed)
+    emit_config(cfg, os.path.join(run_dir, "config.resolved.cfg"))
+    return cfg, d, tc, run_dir
+
+
+def cmd_train(args) -> int:
+    cfg, d, tc, run_dir = _start_run(args, "train")
 
     start = time.perf_counter()
     params, log = mlp.train(d, d.taxonomy, tc)
     duration = time.perf_counter() - start
 
-    emit_config(cfg, os.path.join(run_dir, "config.resolved.cfg"))
     mlp.save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), params)
     _write_metrics_jsonl(log, os.path.join(run_dir, "metrics.jsonl"))
 
-    finals = _final_reports(params, d, cfg["leaves_only"])
+    finals = {name: _score(params, d, d.indices(name), cfg["leaves_only"])
+              for name in data.SPLIT_NAMES}
     record = {
         "command": "train",
         "dataset": _dataset_name(cfg),
@@ -268,9 +284,7 @@ def cmd_train(args) -> int:
         "selection_history": _selection_history(log, d.taxonomy),
         "final": {name: rep.to_json_dict() for name, rep in finals.items()},
     }
-    with open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(record, os.path.join(run_dir, "report.json"))
 
     test = finals["test"]
     print(f"run dir: {run_dir}")
@@ -318,24 +332,12 @@ def cmd_eval(args) -> int:
             f"D={d.n_features}, C={d.taxonomy.n_classes}"
         )
 
-    if args.split:
-        idx = d.indices(args.split)
-        x, y = d.features[idx], d.labels[idx]
-    else:
-        x, y = d.features, d.labels
-    scores = mlp.forward(params, x)[0]
-    rep = metrics.evaluate(y, scores, d.taxonomy, leaves_only=leaves_only)
-
-    payload = rep.to_json_dict()
-    payload["split"] = args.split or "all"
-    payload["n_examples"] = rep.n_examples
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    split = args.split or "all"
+    rep = _score(params, d, d.indices(args.split) if args.split else slice(None), leaves_only)
     out_path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(checkpoint)),
-        f"eval_report_{args.split or 'all'}.json",
-    )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        os.path.dirname(os.path.abspath(checkpoint)), f"eval_report_{split}.json")
+    text = _write_json({**rep.to_json_dict(), "split": split, "n_examples": rep.n_examples},
+                       out_path)
     print(text, end="")
     return 0
 
@@ -361,43 +363,28 @@ def ablation_reports(d: data.Dataset, tc: mlp.TrainConfig, leaves_only: bool = F
     idx = d.indices("test")
     for arm in ABLATION_ARMS:
         params, _ = mlp.train(d, d.taxonomy, dataclasses.replace(tc, loss_mode=arm))
-        scores = mlp.forward(params, d.features[idx])[0]
-        report = metrics.evaluate(d.labels[idx], scores, d.taxonomy, leaves_only=leaves_only)
-        del params, scores  # not live through the next arm's training
+        report = _score(params, d, idx, leaves_only)
+        del params  # not live through the next arm's training
         yield arm, report
 
 
 def cmd_ablate(args) -> int:
-    cfg = resolve_config(args.config, _collect_overrides(args))
-    d = build_dataset(cfg)  # one dataset and split shared by every arm
-    run_dir = make_run_dir(args.out, "ablate", cfg["seed"])
-    emit_config(cfg, os.path.join(run_dir, "config.resolved.cfg"))
+    cfg, d, tc, run_dir = _start_run(args, "ablate")  # one dataset and split for every arm
 
     start = time.perf_counter()
     rows = []
-    for arm, rep in ablation_reports(d, train_config(cfg), cfg["leaves_only"]):
-        rows.append({
-            "loss_mode": arm,
-            "hit1": round(100.0 * rep.hit_at_1, 2),
-            "mrr": round(100.0 * rep.mrr, 2),
-            "hierdist": round(rep.hier_dist, 2),
-        })
-        print(f"{arm:9s} hit@1 {rows[-1]['hit1']:6.2f}  mrr {rows[-1]['mrr']:6.2f}  "
-              f"hierdist {rows[-1]['hierdist']:.2f}")
+    for arm, rep in ablation_reports(d, tc, cfg["leaves_only"]):
+        row = {"loss_mode": arm, **rep.to_json_dict()}
+        rows.append(row)
+        print(f"{arm:9s} hit@1 {row['hit1']:6.2f}  mrr {row['mrr']:6.2f}  "
+              f"hierdist {row['hierdist']:.2f}")
     duration = time.perf_counter() - start
 
-    table = {
-        "dataset": _dataset_name(cfg),
-        "seed": cfg["seed"],
-        "duration_sec": duration,
-        "rows": rows,
-    }
-    with open(os.path.join(run_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    md = _format_ablation_md(table["dataset"], rows)
+    dataset = _dataset_name(cfg)
+    _write_json({"dataset": dataset, "seed": tc.seed, "duration_sec": duration, "rows": rows},
+                os.path.join(run_dir, "ablation.json"))
     with open(os.path.join(run_dir, "ablation.md"), "w", encoding="utf-8") as fh:
-        fh.write(md)
+        fh.write(_format_ablation_md(dataset, rows))
     print(f"run dir: {run_dir}")
     return 0
 

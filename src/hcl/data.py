@@ -80,14 +80,21 @@ def close_labels(rows, ids, n_rows: int, taxonomy: Taxonomy) -> np.ndarray:
     return y
 
 
-def _paths_to_ids(paths, taxonomy, row):
-    ids = []
-    for p in paths:
-        try:
-            ids.append(taxonomy.id_of(p))
-        except ValueError:
-            raise ValueError(f"row {row}: unknown label path {p!r}") from None
-    return ids
+def _labelled_dataset(features, row_paths, taxonomy: Taxonomy) -> Dataset:
+    """The closed, validated dataset of ``features`` whose i-th row lists
+    the label paths ``row_paths[i]``. ``row_paths`` is read lazily, so a
+    reader's own per-row checks and these lookups fault in row order."""
+    rows: list[int] = []
+    ids: list[int] = []
+    for i, paths in enumerate(row_paths):
+        for p in paths:
+            try:
+                ids.append(taxonomy.id_of(p))
+            except ValueError:
+                raise ValueError(f"row {i}: unknown label path {p!r}") from None
+            rows.append(i)
+    labels = close_labels(rows, ids, len(features), taxonomy)
+    return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))
 
 
 def parse_arff_hmc(path) -> Dataset:
@@ -139,27 +146,26 @@ def parse_arff_hmc(path) -> Dataset:
     taxonomy = parse_hierarchy(class_domain)
     n_feat = len(feature_names)
     features = np.empty((len(data_rows), n_feat), dtype=np.float64)
-    label_rows: list[int] = []
-    label_ids: list[int] = []
-    for i, row in enumerate(data_rows):
-        fields = [f.strip() for f in row.split(",")]
-        if len(fields) < n_feat + 1:
-            raise ValueError(f"row {i}: expected at least {n_feat + 1} fields, got {len(fields)}")
-        for j, tok in enumerate(fields[:n_feat]):
-            try:
-                features[i, j] = float(tok)
-            except ValueError:
+
+    def row_paths():  # fills each row's features before yielding its paths
+        for i, row in enumerate(data_rows):
+            fields = [f.strip() for f in row.split(",")]
+            if len(fields) < n_feat + 1:
                 raise ValueError(
-                    f"row {i}: non-numeric value {tok!r} for feature {feature_names[j]!r}"
-                ) from None
-        paths = [p.strip() for f in fields[n_feat:] for p in f.split("@") if p.strip()]
-        if not paths:
-            raise ValueError(f"row {i}: no label paths")
-        ids = _paths_to_ids(paths, taxonomy, i)
-        label_rows += [i] * len(ids)
-        label_ids += ids
-    labels = close_labels(label_rows, label_ids, len(data_rows), taxonomy)
-    return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))
+                    f"row {i}: expected at least {n_feat + 1} fields, got {len(fields)}")
+            for j, tok in enumerate(fields[:n_feat]):
+                try:
+                    features[i, j] = float(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"row {i}: non-numeric value {tok!r} for feature {feature_names[j]!r}"
+                    ) from None
+            paths = [p.strip() for f in fields[n_feat:] for p in f.split("@") if p.strip()]
+            if not paths:
+                raise ValueError(f"row {i}: no label paths")
+            yield paths
+
+    return _labelled_dataset(features, row_paths(), taxonomy)
 
 
 def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
@@ -188,17 +194,15 @@ def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
         raise ValueError(
             f"row count mismatch: {len(rows)} feature rows vs {len(label_lines)} label lines"
         )
-    label_rows: list[int] = []
-    label_ids: list[int] = []
-    for i, line in enumerate(label_lines):
-        paths = [p.strip() for p in line.split(";") if p.strip()]
-        if not paths:
-            raise ValueError(f"row {i}: empty label line")
-        ids = _paths_to_ids(paths, taxonomy, i)
-        label_rows += [i] * len(ids)
-        label_ids += ids
-    labels = close_labels(label_rows, label_ids, len(label_lines), taxonomy)
-    return validate_dataset(Dataset(features=features, labels=labels, taxonomy=taxonomy))
+
+    def row_paths():
+        for i, line in enumerate(label_lines):
+            paths = [p.strip() for p in line.split(";") if p.strip()]
+            if not paths:
+                raise ValueError(f"row {i}: empty label line")
+            yield paths
+
+    return _labelled_dataset(features, row_paths(), taxonomy)
 
 
 def load_native_dir(directory) -> Dataset:

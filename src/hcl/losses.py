@@ -26,7 +26,9 @@ the bits of the general ones:
   label's elements (``where=`` masks into one output). Every element gets
   the same operations on the same value as in the two-branch ``np.where``
   form, so the same bits. The output is the clamped copy of the scores
-  that each base function makes for itself.
+  that each base function makes for itself. ``focal_loss`` writes over its
+  copy the same way and keeps one more block-sized array, the factor
+  ``(1-p_t)^gamma``.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ def zero_one_errors(y, s, decision_threshold: float) -> np.ndarray:
 
 def _clamped_pair(y, s):
     """Labels and a new array of the scores clamped to [eps, 1-eps], the
-    values every log loss reads. The bce functions write their output over
-    it, as their branch ops only ever read an element before writing it."""
+    values every log loss reads. The bce functions and ``focal_loss`` write
+    their output over it, as their branch ops only ever read an element
+    before writing it."""
     y, s = _check_pair(y, s)
     return y, np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
 
@@ -140,9 +143,14 @@ def focal_loss(y, s, gamma: float) -> np.ndarray:
     gamma=0 reduces exactly to bce_loss.
     """
     check_gamma(gamma)
-    y, sc = _clamped_pair(y, s)
-    pt = np.where(y > 0, sc, 1.0 - sc)
-    return (1.0 - pt) ** gamma * -np.log(pt)
+    y, pt = _clamped_pair(y, s)
+    np.subtract(1.0, pt, out=pt, where=~(y > 0))
+    out = 1.0 - pt
+    out **= gamma
+    np.log(pt, out=pt)
+    np.negative(pt, out=pt)
+    out *= pt
+    return out
 
 
 def focal_grad(y, s, gamma: float) -> np.ndarray:

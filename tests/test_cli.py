@@ -328,6 +328,9 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     assert "attribute line needs a name and a type: '@attribute'" in err
 
 
+# both commands open a run through one prologue that checks every value
+# before it makes the run directory
+@pytest.mark.parametrize("command", ("train", "ablate"))
 @pytest.mark.parametrize("override, message", [
     ("decision_threshold=1.5", "decision_threshold must lie in (0,1), got 1.5"),
     ("selection_rule=best-k", "unknown selection rule 'best-k'"),
@@ -340,13 +343,13 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     ("selection_thresh=abc", "config key 'selection_thresh': expected float, got 'abc'"),
 ])
 def test_bad_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
-                                                  override, message):
+                                                  override, message, command):
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr(mlp, "train", no_training)
     out = tmp_path / "r"
-    rc = _train(out, ["--set", override])
+    rc = cli.main([command, "--out", str(out), *TINY, "--set", override])
     assert rc == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

@@ -179,6 +179,21 @@ def test_parse_native_direct_paths(tmp_path):
     assert d.n_examples == 3
 
 
+def test_arff_and_native_files_with_the_same_rows_load_alike(tmp_path):
+    """Row 1 repeats a path and row 2 lists a path with its own ancestor;
+    both readers build their dataset through one label core."""
+    arff = ARFF_FIXTURE.split("@data")[0] + "@data\n0.5,1.0,1/2@3\n1.5,2.0,3,3\n-0.25,0.0,1/2@1\n"
+    a = parse_arff_hmc(write_arff(tmp_path, arff))
+    (tmp_path / "features.csv").write_text("0.5,1.0\n1.5,2.0\n-0.25,0.0\n")
+    (tmp_path / "labels.txt").write_text("1/2;3\n3;3\n1/2;1\n")
+    (tmp_path / "hierarchy.txt").write_text("3\n1/2\n1\n")
+    n = load_native_dir(tmp_path)
+    assert np.array_equal(a.features, n.features)
+    assert a.labels.dtype == n.labels.dtype and np.array_equal(a.labels, n.labels)
+    assert a.taxonomy.class_names == n.taxonomy.class_names
+    assert a.labels.tolist() == [[1, 1, 1], [-1, -1, 1], [1, 1, -1]]
+
+
 # ---------------------------------------------------------------------------
 # label closure helper
 # ---------------------------------------------------------------------------
