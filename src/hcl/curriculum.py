@@ -34,9 +34,17 @@ time, so the pass gives the same bits as ``hier_transform`` followed by
 ``aggregate_class_losses`` over the whole surface, the reference that
 ``verify`` uses: a count of at most 2^53 errors converts to the float sum of
 zeros and ones exactly. A spec without the curriculum skips the 0-1 count
-and logs the sum of L. The batch path hands the raw scores to both the base
-gradient and the base loss that the transform routes by; each clamps them
-itself.
+and logs the sum of L.
+
+The batch path, ``hcl_grad``, clips the raw scores once for a bce spec with
+the transform: ``losses.bce_loss_grad`` gives the loss that the transform
+routes by and the gradient from one clamped copy (a focal spec clamps in
+each base function). The selection holds only 0.0 and 1.0, checked on
+entry, so the weight routed to base element (i, k) is the number of
+selected j with ``routing[i, j] == k``: one ``bincount`` over the selected
+columns of the routing. A sum of ones is exact in any order, so it has the
+bits of ``losses.hier_transform_backward`` of the broadcast selection. The
+batch still takes that routing from ``losses.hier_transform``.
 """
 
 from __future__ import annotations
@@ -248,16 +256,29 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
 
 def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     """Per-element gradient w.r.t. the scores of ``sum_ij s_j * surface[i, j]``,
-    the surface being the spec's (transformed) base loss and ``s`` frozen.
+    the surface being the spec's (transformed) base loss and ``s`` frozen, a
+    length-C vector of 0.0 and 1.0 (ValueError otherwise).
 
     With the transform, each element's weight ``s_j`` is routed to the base
-    element that realized its max; without it, column j is scaled by ``s_j``.
+    element that realized its max (a count, see the module docstring);
+    without it, column j is scaled by ``s_j``.
     """
     s = np.asarray(s, dtype=np.float64)
+    c = taxonomy.n_classes
+    if s.shape != (c,) or not ((s == 0.0) | (s == 1.0)).all():
+        raise ValueError(f"selection must be a length-{c} vector of 0.0 and 1.0")
     loss_fn, grad_fn = _base_fns(spec)
-    base_grad = grad_fn(y, scores)
     if not spec.transform:
-        return s[None, :] * base_grad
-    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=spec.scope)
-    weights = losses.hier_transform_backward(routing, np.broadcast_to(s, routing.shape))
-    return weights * base_grad
+        grad = grad_fn(y, scores)
+        grad *= s
+        return grad
+    if spec.base == "bce":
+        loss, grad = losses.bce_loss_grad(y, scores)
+    else:
+        loss, grad = loss_fn(y, scores), grad_fn(y, scores)
+    _, routing = losses.hier_transform(loss, taxonomy, scope=spec.scope)
+    n = len(routing)
+    flat = routing[:, s == 1.0]
+    flat += (np.arange(n) * c)[:, None]
+    grad *= np.bincount(flat.ravel(), minlength=n * c).reshape(n, c)
+    return grad

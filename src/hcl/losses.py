@@ -29,6 +29,17 @@ the bits of the general ones:
   that each base function makes for itself. ``focal_loss`` writes over its
   copy the same way and keeps one more block-sized array, the factor
   ``(1-p_t)^gamma``.
+
+The batch gradient (``curriculum.hcl_grad``) needs both the bce loss, which
+the transform routes by, and the bce gradient. ``bce_loss_grad`` gives the
+two from one clamped copy and one label mask, with the bits of the two
+functions. The routing sweeps do their id arithmetic in the narrowest
+signed integer type that holds C (``_id_dtype``; int16 at C=584), selecting
+with mask arithmetic rather than ``np.where``, and write int64 routing. The
+routing array stays, though the batch reads no transformed value: each base
+element's weight is a count of the selected classes routed to it, one
+``bincount`` over the routing, and the routing is what a traced run reads
+for the share of elements routed to a shallower class.
 """
 
 from __future__ import annotations
@@ -109,6 +120,20 @@ def _clamped_pair(y, s):
     return y, np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
 
 
+def _bce_loss_into(sc, pos, neg, out):
+    np.log(sc, out=out, where=pos)
+    np.negative(sc, out=out, where=neg)
+    np.log1p(out, out=out, where=neg)
+    return np.negative(out, out=out)
+
+
+def _bce_grad_into(sc, pos, neg, out):
+    np.subtract(1.0, sc, out=out, where=neg)
+    np.divide(1.0, out, out=out, where=neg)
+    np.divide(-1.0, sc, out=out, where=pos)
+    return out
+
+
 def bce_loss(y, s) -> np.ndarray:
     """Binary cross entropy per element, scores clamped to [eps, 1-eps].
 
@@ -117,11 +142,7 @@ def bce_loss(y, s) -> np.ndarray:
     """
     y, sc = _clamped_pair(y, s)
     pos = y > 0
-    neg = ~pos
-    np.log(sc, out=sc, where=pos)
-    np.negative(sc, out=sc, where=neg)
-    np.log1p(sc, out=sc, where=neg)
-    return np.negative(sc, out=sc)
+    return _bce_loss_into(sc, pos, ~pos, out=sc)
 
 
 def bce_grad(y, s) -> np.ndarray:
@@ -130,11 +151,18 @@ def bce_grad(y, s) -> np.ndarray:
     on its own elements."""
     y, sc = _clamped_pair(y, s)
     pos = y > 0
+    return _bce_grad_into(sc, pos, ~pos, out=sc)
+
+
+def bce_loss_grad(y, s) -> tuple[np.ndarray, np.ndarray]:
+    """``(bce_loss(y, s), bce_grad(y, s))``, bit for bit, from one clamped
+    copy of the scores and one label mask: the loss goes into a new array,
+    then the gradient over the clamped copy."""
+    y, sc = _clamped_pair(y, s)
+    pos = y > 0
     neg = ~pos
-    np.subtract(1.0, sc, out=sc, where=neg)
-    np.divide(1.0, sc, out=sc, where=neg)
-    np.divide(-1.0, sc, out=sc, where=pos)
-    return sc
+    loss = _bce_loss_into(sc, pos, neg, out=np.empty_like(sc))
+    return loss, _bce_grad_into(sc, pos, neg, out=sc)
 
 
 def focal_loss(y, s, gamma: float) -> np.ndarray:
@@ -226,26 +254,36 @@ def hier_transform_in_place(surface, taxonomy: Taxonomy, scope: str) -> None:
     _sweep(surface, taxonomy, scope, surface)
 
 
+_ID_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _id_dtype(n_classes: int):
+    """The narrowest signed integer type that holds ``n_classes`` and its
+    negation: every class id, the -1 of no id yet and every difference the
+    routing sweeps form."""
+    return next(t for t in _ID_TYPES if n_classes <= np.iinfo(t).max)
+
+
 def _all_shallower_sweep(base, taxonomy: Taxonomy, out, routing=None):
     """One row block of the all-shallower transform, written into the
     ``out`` view, and into ``routing`` unless it is None."""
     n = base.shape[0]
     run_val = np.full(n, False if base.dtype == np.bool_ else -np.inf, dtype=base.dtype)
-    run_id = np.full(n, -1, dtype=np.int64)
+    if routing is not None:
+        id_type = _id_dtype(taxonomy.n_classes)
+        run_id = np.full(n, -1, dtype=id_type)
     for ids in taxonomy.levels_index[1:]:
         sub = base[:, ids]
         lev_max = sub.max(axis=1)
         if routing is not None:
+            ids = ids.astype(id_type)
             # j wins unless strictly below: a NaN on either side routes to j
-            routing[:, ids] = np.where(sub < run_val[:, None], run_id[:, None], ids[None, :])
+            routing[:, ids] = ids - (sub < run_val[:, None]) * (ids - run_id[:, None])
             # fold this level into the running shallower max; argmax picks the
             # first (= smallest id, buckets are ascending) and cross-level ties
-            # keep the smaller id
-            lev_id = ids[np.argmax(sub, axis=1)]
-            tie = lev_max == run_val
-            run_id = np.where(
-                lev_max > run_val, lev_id, np.where(tie, np.minimum(run_id, lev_id), run_id)
-            )
+            # keep the smaller id. The masks are exclusive, and NaN sets neither.
+            step = ids[np.argmax(sub, axis=1)] - run_id
+            run_id += (lev_max > run_val) * step + (lev_max == run_val) * np.minimum(step, 0)
         out[:, ids] = np.maximum(sub, run_val[:, None], out=sub)
         run_val = np.maximum(run_val, lev_max)
 
@@ -257,7 +295,8 @@ def _ancestors_sweep(base, taxonomy: Taxonomy, out, routing=None):
     out[:, roots] = base[:, roots]
     if routing is not None:
         # smallest id among the maximizers of each class's root-path chain
-        chain_min = np.empty(base.shape, dtype=np.int64)
+        id_type = _id_dtype(taxonomy.n_classes)
+        chain_min = np.empty(base.shape, dtype=id_type)
         routing[:, roots] = roots
         chain_min[:, roots] = roots
     for ids in deeper:
@@ -265,14 +304,15 @@ def _ancestors_sweep(base, taxonomy: Taxonomy, out, routing=None):
         col = base[:, ids]
         anc_val = out[:, parents]
         if routing is not None:
-            anc_min = chain_min[:, parents]
+            ids = ids.astype(id_type)
             # ids follow path order, so every ancestor id is below ids: a tie
-            # keeps anc_min as the chain's smallest maximizer. Selecting with
-            # mask * step is exact and faster than np.where.
-            step = ids - anc_min
+            # keeps the parent's chain_min as the chain's smallest maximizer.
+            # Selecting with mask * step is exact and faster than np.where.
+            step = chain_min[:, parents]
+            np.subtract(ids, step, out=step)
             # j wins unless strictly below: a NaN on either side routes to j
             routing[:, ids] = ids - (col < anc_val) * step
-            chain_min[:, ids] = anc_min + (col > anc_val) * step
+            chain_min[:, ids] = ids - ~(col > anc_val) * step
         out[:, ids] = np.maximum(col, anc_val, out=col)
 
 

@@ -32,10 +32,14 @@ rank 1 exactly when it is the top class, so a row is a hit exactly when its
 top class is positive; a hit has reciprocal rank 1 and distance 0 with
 nothing more to compute. Only the rows that miss (and have a positive
 candidate) find their first positive and count the columns ahead of it,
-and only they read a root path. The top class itself is one ``np.argmax``
-per row. ``np.argmax`` stops at a row's first NaN, so a NaN at the argmax
-marks exactly the rows that hold one, and only those take the NaN-skipping
-form.
+and only they read a root path. They go in row blocks, so no temporary
+holds all the misses' rows: a block's first positives come from the
+positions and scores of its positives, and the columns ahead of one are
+the higher scores plus the equal ones of lower id, the latter counted from
+their positions, as a row rarely ties more than itself. The top class
+itself is one ``np.argmax`` per row. ``np.argmax`` stops at a row's first
+NaN, so a NaN at the argmax marks exactly the rows that hold one, and only
+those take the NaN-skipping form.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import check_label_matrix
+from .losses import _BLOCK_ROWS, _row_blocks, check_label_matrix
 from .taxonomy import VIRTUAL_ROOT, Taxonomy
 
 
@@ -84,13 +88,41 @@ def _first_in_rank(scores, allowed=None) -> np.ndarray:
 def _rank_of(scores, col) -> np.ndarray:
     """1-based rank of column ``col[i]`` in row i: one plus the number of
     columns ahead of it."""
-    own = scores[np.arange(len(scores)), col][:, None]
-    lower = np.arange(scores.shape[1]) < col[:, None]
-    ahead = (scores > own) | ((scores == own) & lower)
-    nan_own = np.isnan(own[:, 0])
-    if nan_own.any():
-        ahead[nan_own] = ~np.isnan(scores[nan_own]) | lower[nan_own]
-    return 1 + np.count_nonzero(ahead, axis=1)
+    n = len(scores)
+    own = scores[np.arange(n), col][:, None]
+    mask = np.greater(scores, own)
+    ahead = np.count_nonzero(mask, axis=1)
+    # equal scores ahead only with a lower id; a row ties itself and rarely
+    # more, so they are counted from their positions
+    r, j = np.divmod(np.flatnonzero(np.equal(scores, own, out=mask)), scores.shape[1])
+    ahead += np.bincount(r[j < col[r]], minlength=n)
+    nan = np.flatnonzero(np.isnan(own[:, 0]))
+    if len(nan):  # both masks are empty on these rows
+        lower = np.arange(scores.shape[1]) < col[nan, None]
+        ahead[nan] = np.count_nonzero(~np.isnan(scores[nan]) | lower, axis=1)
+    return 1 + ahead
+
+
+def _miss_ranks(y, scores, miss) -> np.ndarray:
+    """1-based rank of the first positive of each row in ``miss``, 0 for a
+    row with no positive, in row blocks of ``losses._BLOCK_ROWS``."""
+    first = np.zeros(len(miss), dtype=np.int64)
+    for block in _row_blocks(len(miss), _BLOCK_ROWS):
+        m = miss[block]
+        r, c = np.divmod(np.flatnonzero(y[m] == 1), y.shape[1])
+        if not len(r):
+            continue
+        # the first positive in rank order: each row's largest non-NaN
+        # score, the lowest id on ties (-0.0 ties with 0.0), and its first
+        # positive when all are NaN. r ascends, and c within a row.
+        v = scores[m[r], c]
+        new_row = np.r_[True, r[1:] != r[:-1]]
+        group = np.cumsum(new_row) - 1
+        top = np.fmax.reduceat(v, np.flatnonzero(new_row))[group]
+        best = np.flatnonzero((v == top) | np.isnan(top))
+        best = best[np.r_[True, group[best[1:]] != group[best[:-1]]]]
+        first[block.start + r[best]] = _rank_of(scores[m[r[best]]], c[best])
+    return first
 
 
 def evaluate(
@@ -120,10 +152,7 @@ def evaluate(
     # candidate is positive (possible only under a leaves-only restriction)
     first = (yc[ex, top1] == 1).astype(np.int64)
     miss = np.flatnonzero(first == 0)
-    pos = yc[miss] == 1
-    ranked = pos.any(axis=1)
-    sub = sc[miss[ranked]]
-    first[miss[ranked]] = _rank_of(sub, _first_in_rank(sub, pos[ranked]))
+    first[miss] = _miss_ranks(yc, sc, miss)
     if leaves_only:
         top1 = cand[top1]
     hits = (first == 1).astype(np.float64)

@@ -268,6 +268,19 @@ def test_pipeline_weights_vanish_for_unselected_unrouted_columns(rng):
     assert np.all(grad[:, bad] == 0.0)
 
 
+@pytest.mark.parametrize("transform", (True, False))
+@pytest.mark.parametrize("bad", ([1.0, 1.0], [1.0, 0.5, 1.0], [1.0, np.nan, 0.0],
+                                 [[1.0, 1.0, 1.0]]))
+def test_gradient_rejects_a_selection_that_is_not_c_zeros_and_ones(rng, bad, transform):
+    """A wrong length would weight the wrong columns, and a weight other
+    than 0 or 1 is no count of selected classes."""
+    tax = parse_hierarchy(["a", "a/b", "a/c"])
+    y, scores = separable_instance(tax, rng)
+    spec = LossSpec(transform=transform)
+    with pytest.raises(ValueError, match=r"^selection must be a length-3 vector of 0\.0 and 1\.0$"):
+        hcl_grad(y, scores, np.array(bad), tax, spec)
+
+
 def test_pipeline_matches_exhaustive_search_on_random_instances():
     rng = np.random.default_rng(7)
     tax = verify.random_taxonomy(rng, max_classes=5, max_depth=3)

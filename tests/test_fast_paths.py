@@ -9,11 +9,13 @@ product, whose row blocks some BLAS kernels round differently; one-column
 products included), the whole-surface aggregate of the epoch-end pass, the
 per-mode dispatch of the training loss that the loss specs in
 ``curriculum`` replaced (a loss without the curriculum now the sum of its
-per-class sums), the two-branch ``np.where`` bce loss and gradient, the
-float 0-1 surface that the epoch-end pass summed, the training loop that
-allocated each dropout mask afresh, the parent-walking tree queries that
-the ``Taxonomy.path_ids`` table replaced, the per-example ranking and LCA
-loops of ``metrics.evaluate``, the column-gather check of
+per-class sums) and its batch gradient routed by the slow transforms and
+the ``np.add.at`` scatter, the two-branch ``np.where`` bce loss and
+gradient, the float 0-1 surface that the epoch-end pass summed, the
+training loop that allocated each dropout mask afresh, the parent-walking
+tree queries that the ``Taxonomy.path_ids`` table replaced, the
+per-example ranking and LCA loops of ``metrics.evaluate`` and its miss
+path that gathered the misses' rows whole, the column-gather check of
 ``losses.check_label_matrix``, the prefix-joining
 ``taxonomy.parse_hierarchy``, the per-class loops of label closure and of
 the native label writer, and the per-example synthetic generator. The
@@ -173,21 +175,34 @@ def slow_selection_and_loss(scores, y, taxonomy, cfg):
 
 
 def slow_batch_dscores(xb_scores, yb, s, taxonomy, cfg):
-    """The retired per-mode gradient of the batch loss w.r.t. the scores."""
+    """The retired per-mode gradient of the batch loss w.r.t. the scores,
+    routed by the slow transforms and the ``np.add.at`` scatter."""
     b = len(yb)
     mode = cfg.loss_mode
     if mode == "ce":
-        return losses.bce_grad(yb, xb_scores) / b
+        return slow_bce_grad(yb, xb_scores) / b
     if mode == "focal":
         return losses.focal_grad(yb, xb_scores, cfg.focal_gamma) / b
-    base_grad = losses.bce_grad(yb, xb_scores)
+    base_grad = slow_bce_grad(yb, xb_scores)
     if mode == "hcl-cl":
         return (s[None, :] * base_grad) / b
-    base = losses.bce_loss(yb, xb_scores)
-    _, routing = losses.hier_transform(base, taxonomy, cfg.transform_scope)
+    base = slow_bce_loss(yb, xb_scores)
+    _, routing = SLOW_TRANSFORMS[cfg.transform_scope](base, taxonomy)
     upstream = np.ones_like(base) if mode == "hcl-hier" else np.broadcast_to(s, base.shape)
-    w = losses.hier_transform_backward(routing, upstream)
-    return (w * base_grad) / b
+    return (slow_backward(routing, upstream) * base_grad) / b
+
+
+def slow_hcl_grad(y, scores, s, taxonomy, spec):
+    """The transform's batch gradient of a bce or focal spec: both base
+    functions on the scores, the slow transform's routing and the
+    ``np.add.at`` scatter of the broadcast selection."""
+    if spec.base == "bce":
+        loss, grad = slow_bce_loss(y, scores), slow_bce_grad(y, scores)
+    else:
+        loss = slow_focal_loss(y, scores, spec.gamma)
+        grad = losses.focal_grad(y, scores, spec.gamma)
+    _, routing = SLOW_TRANSFORMS[spec.scope](loss, taxonomy)
+    return slow_backward(routing, np.broadcast_to(s, loss.shape)) * grad
 
 
 def _forest(rng):
@@ -715,6 +730,80 @@ def test_focal_transform_curriculum_gradient_matches_finite_differences(scope):
             assert verify.max_rel_err(analytic, fd) < verify.GRAD_RTOL
 
 
+# C=12 takes int8 ids in the routing sweeps, 584 int16 and 33306 int32
+ID_TYPE_TAXONOMIES = {12: np.int8, 584: np.int16, 33306: np.int32}
+
+
+def _id_type_taxonomy(c):
+    if c == 33306:
+        return _complete_taxonomy(182, 2)
+    return EPOCH_END_TAXONOMIES[c]
+
+
+def _grid_scores(rng, shape):
+    """Scores on a grid holding 0, 1, ``LOG_EPS``, the clamps' other bound and
+    NaN, so that losses tie within and across levels (0 and ``LOG_EPS``
+    clamp to one value), or uniform scores with those values planted."""
+    grid = [0.0, 1.0, losses.LOG_EPS, 1.0 - losses.LOG_EPS, 0.25, 0.5, np.nan]
+    if rng.random() < 0.5:
+        return rng.choice(grid, size=shape)
+    scores = rng.uniform(0.0, 1.0, size=shape)
+    scores[rng.random(shape) < 0.2] = rng.choice(grid)
+    return scores
+
+
+def _selections(rng, c):
+    return (np.ones(c), np.zeros(c), (rng.random(c) < 0.6).astype(np.float64))
+
+
+@pytest.mark.parametrize("c", ID_TYPE_TAXONOMIES)
+def test_routing_sweeps_use_the_narrowest_id_type_and_keep_the_routing(c):
+    """Each id type's sweeps give the slow transforms' values and int64
+    routing, on tie-prone surfaces with NaN."""
+    tax = _id_type_taxonomy(c)
+    assert losses._id_dtype(c) == ID_TYPE_TAXONOMIES[c]
+    rng = np.random.default_rng(c)
+    base = _nan_tie_surface(rng, 3, c)
+    for scope, slow in SLOW_TRANSFORMS.items():
+        out, routing = hier_transform(base, tax, scope)
+        ref_out, ref_routing = slow(base, tax)
+        assert routing.dtype == np.int64
+        assert _same_bits(out, ref_out) and np.array_equal(routing, ref_routing)
+
+
+@pytest.mark.parametrize("base", curriculum.BASE_LOSSES)
+@pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
+@pytest.mark.parametrize("c", (12, 584))
+def test_batch_gradient_matches_slow_routing_and_scatter(c, scope, base):
+    """The one-clip, counted-weight batch gradient against the two base
+    functions, the slow transform and the ``np.add.at`` scatter, bit for
+    bit: scores at 0, 1, ``LOG_EPS`` and NaN with cross-level loss ties,
+    and selections of all ones, all zeros and random."""
+    tax = _id_type_taxonomy(c)
+    rng = np.random.default_rng(c + len(scope + base))
+    for n in ROW_COUNTS:
+        y = rng.choice([-1, 1], size=(n, c)).astype(np.int8)
+        scores = _grid_scores(rng, y.shape)
+        for gamma in ((2.0,) if base == "bce" else (0.0, 1.5, 2.0)):
+            spec = curriculum.LossSpec(base, scope=scope, gamma=gamma)
+            for s in _selections(rng, c):
+                want = slow_hcl_grad(y, scores, s, tax, spec)
+                assert _same_bits(curriculum.hcl_grad(y, scores, s, tax, spec), want)
+
+
+@pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
+def test_batch_gradient_matches_slow_reference_on_int32_ids(scope):
+    c = 33306
+    tax = _id_type_taxonomy(c)
+    rng = np.random.default_rng(5)
+    y = rng.choice([-1, 1], size=(2, c)).astype(np.int8)
+    scores = _grid_scores(rng, y.shape)
+    s = _selections(rng, c)[2]
+    spec = curriculum.LossSpec(scope=scope)
+    assert _same_bits(curriculum.hcl_grad(y, scores, s, tax, spec),
+                      slow_hcl_grad(y, scores, s, tax, spec))
+
+
 # ---------------------------------------------------------------------------
 # epoch-end selection pass, batch loss and training loop
 # ---------------------------------------------------------------------------
@@ -790,9 +879,9 @@ def _edge_scores(rng, shape):
 
 @pytest.mark.parametrize("n", ROW_COUNTS)
 def test_bce_loss_and_grad_match_two_branch_where_on_edge_scores(n):
-    """The bce pair, and the focal loss at exponents that numpy's power
-    takes shortcuts for (0.5, 1, 2) and at others, keep the bits of their
-    two-branch forms."""
+    """The bce pair, alone and from one clip, and the focal loss at
+    exponents that numpy's power takes shortcuts for (0.5, 1, 2) and at
+    others, keep the bits of their two-branch forms."""
     rng = np.random.default_rng(40 + n)
     scores = _edge_scores(rng, (n, 37))
     assert len(np.unique(scores[~np.isnan(scores)])) >= len(EDGE_SCORES) - 3
@@ -804,6 +893,9 @@ def test_bce_loss_and_grad_match_two_branch_where_on_edge_scores(n):
     for y in labels:
         for fast, slow in ((losses.bce_loss, slow_bce_loss), (losses.bce_grad, slow_bce_grad)):
             assert _same_bits(fast(y, scores), slow(y, scores))
+        loss, grad = losses.bce_loss_grad(y, scores)
+        assert _same_bits(loss, slow_bce_loss(y, scores))
+        assert _same_bits(grad, slow_bce_grad(y, scores))
         for gamma in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
             assert _same_bits(losses.focal_loss(y, scores, gamma),
                               slow_focal_loss(y, scores, gamma)), gamma
@@ -988,7 +1080,8 @@ def slow_per_example_dist(y, top1, tree):
     return dist
 
 
-def slow_evaluate(y, scores, tax, leaves_only):
+def slow_evaluate_loops(y, scores, tax, leaves_only):
+    """The retired per-example ranking and LCA loops."""
     tree = tree_from_names(tax)
     cand = slow_leaf_ids(tree) if leaves_only else np.arange(tax.n_classes)
     top1, first = slow_top1_and_first_pos_rank(y, scores, cand)
@@ -1190,7 +1283,7 @@ def _scores_with_top(rng, y, want_hit):
 
 def _check_evaluate(y, scores, tax, leaves_only):
     report = metrics.evaluate(y, scores, tax, leaves_only=leaves_only, per_example=True)
-    hit, rr, dist, rows = slow_evaluate(y, scores, tax, leaves_only)
+    hit, rr, dist, rows = slow_evaluate_loops(y, scores, tax, leaves_only)
     assert (report.hit_at_1, report.mrr, report.hier_dist) == (hit, rr, dist)
     assert report.per_example == rows
     return report
@@ -1331,6 +1424,70 @@ def test_first_in_rank_is_the_first_allowed_column_in_lexsort_order():
         allowed[np.arange(n), rng.integers(0, c, size=n)] = True
         ref = [row[allowed[i, row]][0] for i, row in enumerate(order)]
         assert np.array_equal(metrics._first_in_rank(scores, allowed), ref)
+
+
+def slow_first_in_rank(scores, allowed):
+    """The first allowed column in rank order through an N x C copy with
+    NaN outside ``allowed``."""
+    s = np.where(allowed, scores, np.nan)
+    top = np.fmax.reduce(s, axis=1)
+    first = np.argmax(s == top[:, None], axis=1)
+    return np.where(np.isnan(top), np.argmax(allowed, axis=1), first)
+
+
+def slow_rank_of(scores, col):
+    """One plus the columns ahead of ``col[i]``, from three N x C masks."""
+    own = scores[np.arange(len(scores)), col][:, None]
+    lower = np.arange(scores.shape[1]) < col[:, None]
+    ahead = (scores > own) | ((scores == own) & lower)
+    nan_own = np.isnan(own[:, 0])
+    if nan_own.any():
+        ahead[nan_own] = ~np.isnan(scores[nan_own]) | lower[nan_own]
+    return 1 + np.count_nonzero(ahead, axis=1)
+
+
+def slow_evaluate(y, scores, tax, leaves_only=False):
+    """The retired miss path of ``metrics.evaluate``: the misses' label
+    rows and scores gathered whole, the first positive found through a
+    NaN-filled copy, and ranked through whole-row masks."""
+    sc, yc = scores, y
+    if leaves_only:
+        cand = tax.leaf_ids
+        sc, yc = scores.take(cand, axis=1), y.take(cand, axis=1)
+    top1 = metrics._first_in_rank(sc)
+    ex = np.arange(len(y))
+    first = (yc[ex, top1] == 1).astype(np.int64)
+    miss = np.flatnonzero(first == 0)
+    pos = yc[miss] == 1
+    ranked = pos.any(axis=1)
+    sub = sc[miss[ranked]]
+    first[miss[ranked]] = slow_rank_of(sub, slow_first_in_rank(sub, pos[ranked]))
+    if leaves_only:
+        top1 = cand[top1]
+    rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
+    dist = np.zeros(len(y))
+    path = tax.path_ids[top1[miss]]
+    depth = ((y[miss[:, None], path] == 1) & (path != VIRTUAL_ROOT)).sum(axis=1)
+    deepest = path[np.arange(len(miss)), np.maximum(depth - 1, 0)]
+    dist[miss] = np.where(depth > 0, tax.heights[deepest], tax.max_level)
+    rows = [(tax.class_names[int(t)], int(f), float(d)) for t, f, d in zip(top1, first, dist)]
+    return metrics.EvalReport(float((first == 1).mean()), float(rr.mean()), float(dist.mean()),
+                              len(y), rows)
+
+
+@pytest.mark.parametrize("leaves_only", (False, True))
+@pytest.mark.parametrize("n", (1, 5 * BLOCK + 5))
+def test_evaluate_matches_retired_miss_path(n, leaves_only):
+    """Rows with all-NaN positives, signed-zero ties and, under
+    ``leaves_only``, no positive leaf; one row, and misses over several
+    row blocks."""
+    rng = np.random.default_rng(n + leaves_only)
+    for _ in range(20):
+        tax = _wide_forest(rng)
+        y, scores = _edge_rows(rng, tax, n)
+        want = slow_evaluate(y, scores, tax, leaves_only)
+        got = metrics.evaluate(y, scores, tax, leaves_only=leaves_only, per_example=True)
+        assert got == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -386,6 +386,26 @@ def test_train_checks_the_labels_once_not_every_epoch(monkeypatch):
     assert sorted(calls) == sorted([len(d.indices("train")), len(d.indices("valid"))])
 
 
+@pytest.mark.parametrize("scope", losses.SCOPES)
+def test_train_takes_one_routing_per_batch(scope, monkeypatch):
+    """The batch gradient of a transform mode routes through one
+    ``losses.hier_transform`` call per batch, and the epoch-end pass through
+    none: a traced run reads the share of routed elements from that call."""
+    d = tiny_dataset()
+    calls, transform = [], losses.hier_transform
+
+    def counted(base, taxonomy, scope=losses.SCOPE_ALL_SHALLOWER):
+        calls.append(len(base))
+        return transform(base, taxonomy, scope)
+
+    monkeypatch.setattr(losses, "hier_transform", counted)
+    cfg = TrainConfig(hidden_width=4, epochs=3, batch_size=16, transform_scope=scope)
+    train(d, d.taxonomy, cfg)
+    n = len(d.indices("train"))
+    batches = [min(16, n - start) for start in range(0, n, 16)]
+    assert calls == batches * cfg.epochs
+
+
 def test_training_peak_memory_does_not_grow_after_the_first_epoch():
     # what the epoch-end pass allocates must not come on top of the
     # previous epoch's scores or the last batch's gradients
