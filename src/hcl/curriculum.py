@@ -119,8 +119,9 @@ def brute_force_select(agg: ClassLossAggregate):
 
 
 def check_selection_rule(rule: str, thresh: float | None) -> None:
-    """Reject an unknown rule, fixed-threshold without a threshold, and a
-    non-finite threshold (NaN and +inf would select every class, -inf none)."""
+    """Reject an unknown rule, fixed-threshold without a threshold, a
+    non-finite threshold (NaN and +inf would select every class, -inf none),
+    and a threshold given to the optimal-prefix rule, which reads none."""
     if rule not in (RULE_OPTIMAL_PREFIX, RULE_FIXED_THRESHOLD):
         raise ValueError(f"unknown selection rule {rule!r}")
     if rule == RULE_FIXED_THRESHOLD and thresh is None:
@@ -130,6 +131,8 @@ def check_selection_rule(rule: str, thresh: float | None) -> None:
         )
     if thresh is not None and not np.isfinite(thresh):
         raise ValueError(f"selection thresh must be finite, got {thresh}")
+    if rule == RULE_OPTIMAL_PREFIX and thresh is not None:
+        raise ValueError(f"selection thresh {thresh} is read only by the fixed-threshold rule")
 
 
 def select_classes(agg: ClassLossAggregate, rule: str, thresh: float | None) -> np.ndarray:
@@ -137,7 +140,7 @@ def select_classes(agg: ClassLossAggregate, rule: str, thresh: float | None) -> 
 
     optimal-prefix (``LossSpec``'s default): classes sorted ascending by L
     (ties by id); the prefix length K minimizing max(prefixSum(K), C - K +
-    e_total) is selected, largest K on ties.
+    e_total) is selected, largest K on ties. It takes no thresh.
 
     fixed-threshold: simpler fixed-cutoff rule; finds the smallest K with
     prefixSum(K) > thresh + 1 - K and selects sorted ranks strictly below K

@@ -1,4 +1,4 @@
-"""Rooted class hierarchy with level, ancestor, LCA and height queries.
+"""Rooted class hierarchy with level, ancestor-table, LCA and height queries.
 
 Classes are identified by their full path string ("1/2/5", components
 joined by ``SEPARATOR``); integer ids are assigned by lexicographic path
@@ -92,11 +92,6 @@ class Taxonomy:
                 paths[ids] = paths[self.parent_ids[ids]]
             paths[ids, lvl - 1] = ids
         return paths
-
-    def ancestors(self, c: int) -> list[int]:
-        """Strict ancestors of c, nearest first, excluding the virtual root."""
-        c = self._check_id(c)
-        return self.path_ids[c, : self.level[c] - 1][::-1].tolist()
 
     def lca(self, a: int, b: int) -> int:
         """Deepest ancestor-or-self of both a and b; VIRTUAL_ROOT if none."""

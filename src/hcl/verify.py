@@ -29,6 +29,8 @@ from .taxonomy import VIRTUAL_ROOT, Taxonomy, parse_hierarchy
 
 GRAD_FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
+# level-monotone dominating surfaces drawn per bound-chain trial
+DOMINATORS_PER_TRIAL = 2
 
 
 @dataclass
@@ -168,8 +170,7 @@ def _min_level_dominator(base, tax: Taxonomy) -> np.ndarray:
     return out
 
 
-def check_bound_chain(trials: int, seed: int, transform=losses.hier_transform,
-                      dominators_per_trial: int = 2) -> CheckResult:
+def check_bound_chain(trials: int, seed: int, transform=losses.hier_transform) -> CheckResult:
     """base <= transformed element-wise, and transformed <= g for generated
     level-monotone g >= base (tightness)."""
     rng = np.random.default_rng(seed)
@@ -187,7 +188,7 @@ def check_bound_chain(trials: int, seed: int, transform=losses.hier_transform,
             })
             return res
         envelope = _min_level_dominator(base, tax)
-        for _ in range(dominators_per_trial):
+        for _ in range(DOMINATORS_PER_TRIAL):
             g = dominating_monotone_surface(rng, envelope, tax)
             assert _lambda_violation(g, tax) is None and (g >= base).all()
             if (out > g).any():

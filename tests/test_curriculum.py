@@ -24,6 +24,7 @@ from hcl.curriculum import (
 )
 from hcl.mlp import TrainConfig
 from hcl.taxonomy import parse_hierarchy
+from slow_reference import slow_close_labels, slow_hcl_grad, slow_hcl_loss
 
 
 def agg_of(L, e_total):
@@ -224,17 +225,6 @@ def test_threshold_rule_selects_all_when_never_tripped():
 # ---------------------------------------------------------------------------
 
 
-def random_closed_labels(rng, tax, n):
-    """Random ancestor-closed labels with at least one positive per row."""
-    y = -np.ones((n, tax.n_classes))
-    for i in range(n):
-        c = int(rng.integers(0, tax.n_classes))
-        y[i, c] = 1.0
-        for a in tax.ancestors(c):
-            y[i, a] = 1.0
-    return y
-
-
 def separable_instance(tax, rng, n=6):
     y = -np.ones((n, tax.n_classes))
     y[:, tax.id_of("a")] = 1.0
@@ -249,8 +239,7 @@ def test_pipeline_easy_instance_selects_everything(rng):
     y, scores = separable_instance(tax, rng)
     value, s = hcl_loss(y, scores, tax)
     assert s.tolist() == [1.0, 1.0, 1.0]
-    lh, _ = losses.hier_transform(losses.bce_loss(y, scores), tax)
-    assert value == pytest.approx(lh.sum())
+    assert value == pytest.approx(slow_hcl_loss(y, scores, tax, LossSpec())[0].sum())
     assert hcl_grad(y, scores, s, tax).shape == y.shape
 
 
@@ -286,13 +275,11 @@ def test_pipeline_matches_exhaustive_search_on_random_instances():
     tax = verify.random_taxonomy(rng, max_classes=5, max_depth=3)
     c = tax.n_classes
     for _ in range(20):
-        y = random_closed_labels(rng, tax, n=10)
+        y = slow_close_labels([[int(rng.integers(0, c))] for _ in range(10)], tax.class_names)
         scores = rng.uniform(0.05, 0.95, size=y.shape)
         value, s = hcl_loss(y, scores, tax)
-        lh, _ = losses.hier_transform(losses.bce_loss(y, scores), tax)
-        eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores, 0.5), tax)
-        agg = aggregate_class_losses(lh, eh)
-        _, best = brute_force_select(agg)
+        L, e_total, _, _ = slow_hcl_loss(y, scores, tax, LossSpec())
+        _, best = brute_force_select(agg_of(L, e_total))
         assert value == pytest.approx(best, abs=1e-9)
 
 
@@ -300,17 +287,15 @@ def test_pipeline_flat_hierarchy_reduces_to_plain_class_selection(rng):
     """One level + ancestors-only scope: the transform is the identity, so the
     pipeline is exactly curriculum selection on the raw base loss."""
     tax = parse_hierarchy(["u", "v", "w"])
-    y = random_closed_labels(rng, tax, n=8)
+    y = slow_close_labels([[int(rng.integers(0, 3))] for _ in range(8)], tax.class_names)
     scores = rng.uniform(0.05, 0.95, size=y.shape)
     spec = LossSpec(scope=losses.SCOPE_ANCESTORS_ONLY)
     value, s = hcl_loss(y, scores, tax, spec)
-    base = losses.bce_loss(y, scores)
-    agg = aggregate_class_losses(base, losses.zero_one_errors(y, scores, 0.5))
-    s_ref = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
-    assert np.array_equal(s, s_ref)
-    assert value == pytest.approx(curriculum_objective(s_ref, agg))
+    flat = replace(spec, transform=False)
+    _, _, s_ref, value_ref = slow_hcl_loss(y, scores, tax, flat)
+    assert np.array_equal(s, s_ref) and value == value_ref
     grad = hcl_grad(y, scores, s, tax, spec)
-    assert np.array_equal(grad, s_ref * losses.bce_grad(y, scores))
+    assert np.array_equal(grad, slow_hcl_grad(y, scores, s_ref, tax, flat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +306,8 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
     rng = np.random.default_rng(seed)
     tax = verify.random_taxonomy(rng, max_classes=8, max_depth=4)
     n = int(rng.integers(1, 6))
-    y = random_closed_labels(rng, tax, n)
+    y = slow_close_labels([[int(rng.integers(0, tax.n_classes))] for _ in range(n)],
+                          tax.class_names)
     scores = rng.uniform(0.05, 0.95, size=y.shape)
     e01 = losses.zero_one_errors(y, scores, 0.5)
     base = e01 + rng.uniform(0.0, 1.0, size=e01.shape)  # dominates 0-1
@@ -366,11 +352,7 @@ def test_specs_without_curriculum_select_every_class(rng):
     for spec in (LossSpec("bce", False, False), LossSpec("focal", True, False)):
         value, s = hcl_loss(y, scores, tax, spec)
         assert s.tolist() == [1.0, 1.0, 1.0]
-        surface = (losses.focal_loss(y, scores, spec.gamma) if spec.base == "focal"
-                   else losses.bce_loss(y, scores))
-        if spec.transform:
-            surface, _ = losses.hier_transform(surface, tax)
-        assert value == float(surface.sum(axis=0).sum())  # the sum of the per-class sums
+        assert value == slow_hcl_loss(y, scores, tax, spec)[3]  # the sum of the per-class sums
 
 
 def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
@@ -378,11 +360,7 @@ def test_focal_spec_with_transform_and_curriculum_uses_focal_throughout(rng):
     y, scores = separable_instance(tax, rng)
     spec = LossSpec("focal", gamma=1.5)
     value, s = hcl_loss(y, scores, tax, spec)
-    lh, routing = losses.hier_transform(losses.focal_loss(y, scores, 1.5), tax)
-    eh, _ = losses.hier_transform(losses.zero_one_errors(y, scores, 0.5), tax)
-    agg = aggregate_class_losses(lh, eh)
-    assert np.array_equal(s, select_classes(agg, RULE_OPTIMAL_PREFIX, None))
-    assert value == curriculum_objective(s, agg)
-    w = losses.hier_transform_backward(routing, np.broadcast_to(s, y.shape))
+    _, _, s_ref, value_ref = slow_hcl_loss(y, scores, tax, spec)
+    assert np.array_equal(s, s_ref) and value == value_ref
     grad = hcl_grad(y, scores, s, tax, spec)
-    assert np.array_equal(grad, w * losses.focal_grad(y, scores, 1.5))
+    assert np.array_equal(grad, slow_hcl_grad(y, scores, s, tax, spec))

@@ -17,6 +17,7 @@ from hcl.data import (
     validate_dataset,
 )
 from hcl.taxonomy import parse_hierarchy
+from slow_reference import slow_close_labels
 
 ARFF_FIXTURE = """% tiny fixture
 @relation demo
@@ -317,13 +318,11 @@ def test_synth_tree_shape():
 
 def test_synth_labels_are_closed_and_complete():
     d = synth_generate(SynthConfig(levels=3, branching=3, examples_per_leaf=4, seed=2))
-    t = d.taxonomy
-    for row in d.labels:
-        pos = np.flatnonzero(row == 1)
-        assert len(pos) == 2  # one top-level class and one leaf
-        for c in pos:
-            for a in t.ancestors(int(c)):
-                assert row[a] == 1
+    positives = [np.flatnonzero(row == 1) for row in d.labels]
+    assert all(len(pos) == 2 for pos in positives)  # one top-level class and one leaf
+    # closing each row's leaf, its larger id, gives the row back
+    leaves = [[int(pos[-1])] for pos in positives]
+    assert np.array_equal(d.labels, slow_close_labels(leaves, d.taxonomy.class_names))
 
 
 def test_synth_same_seed_identical():

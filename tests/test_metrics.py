@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hcl import verify
 from hcl.metrics import EvalReport, evaluate
 from hcl.taxonomy import parse_hierarchy
+from slow_reference import slow_close_labels
 
 
 def labels_for(tax, rows):
@@ -127,12 +128,8 @@ def test_dist_never_exceeds_tree_height(rng):
     tax = verify.random_taxonomy(rng, max_classes=20)
     max_h = tax.max_level
     for _ in range(20):
-        y = -np.ones((4, tax.n_classes))
-        for i in range(4):
-            c = int(rng.integers(0, tax.n_classes))
-            y[i, c] = 1.0
-            for a in tax.ancestors(c):
-                y[i, a] = 1.0
+        y = slow_close_labels([[int(rng.integers(0, tax.n_classes))] for _ in range(4)],
+                              tax.class_names)
         s = rng.uniform(0.0, 1.0, size=y.shape)
         assert evaluate(y, s, tax).hier_dist <= max_h
 
@@ -144,12 +141,8 @@ def test_dist_never_exceeds_tree_height(rng):
 
 def test_report_consistency_and_invariants(rng, height4_forest):
     tax = height4_forest
-    y = -np.ones((30, tax.n_classes))
-    for i in range(30):
-        c = int(rng.integers(0, tax.n_classes))
-        y[i, c] = 1.0
-        for a in tax.ancestors(c):
-            y[i, a] = 1.0
+    y = slow_close_labels([[int(rng.integers(0, tax.n_classes))] for _ in range(30)],
+                          tax.class_names)
     s = rng.uniform(0.0, 1.0, size=y.shape)
     rep = evaluate(y, s, tax)
     # the means agree with the per-example rows of the same pass
@@ -175,13 +168,8 @@ def test_distance_is_zero_when_every_top_prediction_hits(abc_taxonomy):
 def test_metrics_depend_only_on_score_order(seed):
     rng = np.random.default_rng(seed)
     tax = verify.random_taxonomy(rng, max_classes=12)
-    n = 8
-    y = -np.ones((n, tax.n_classes))
-    for i in range(n):
-        c = int(rng.integers(0, tax.n_classes))
-        y[i, c] = 1.0
-        for a in tax.ancestors(c):
-            y[i, a] = 1.0
+    y = slow_close_labels([[int(rng.integers(0, tax.n_classes))] for _ in range(8)],
+                          tax.class_names)
     s = rng.uniform(0.01, 0.99, size=y.shape)
     base = evaluate(y, s, tax)
     for transform in (lambda x: x**3, lambda x: 0.5 * x + 0.1, np.sqrt):

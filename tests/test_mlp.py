@@ -22,6 +22,7 @@ from hcl.mlp import (
     train,
 )
 from hcl.taxonomy import parse_hierarchy
+from slow_reference import SLOW_MODES, slow_close_labels, slow_hcl_loss
 
 
 def grads_like(params):
@@ -229,35 +230,13 @@ def test_backward_rejects_a_gradient_vector_that_aliases_the_parameters(rng):
 # ---------------------------------------------------------------------------
 
 
-def _mode_value(mode, y, scores, tax, frozen_s):
-    """Scalar training objective for the differentiated branch of each mode,
-    written out independently of ``curriculum``."""
-    bce = losses.bce_loss(y, scores)
-    if mode == "ce":
-        return bce.sum()
-    if mode == "focal":
-        return losses.focal_loss(y, scores, gamma=2.0).sum()
-    lh, _ = losses.hier_transform(bce, tax)
-    if mode == "hcl-hier":
-        return lh.sum()
-    if mode == "hcl-cl":
-        return (bce * frozen_s).sum()
-    if mode == "hcl":
-        return (lh * frozen_s).sum()
-    raise AssertionError(mode)
-
-
 @pytest.mark.parametrize("mode", LOSS_MODES)
 def test_parameter_gradients_match_finite_differences(mode):
     rng = np.random.default_rng(11)
     tax = parse_hierarchy(["a", "a/b", "a/c", "d", "d/e", "d/f"])
     n, d_in, h = 8, 5, 4
-    y = -np.ones((n, 6))
-    for i in range(n):
-        leaf = ["a/b", "a/c", "d/e", "d/f"][i % 4]
-        y[i, tax.id_of(leaf)] = 1.0
-        for a in tax.ancestors(tax.id_of(leaf)):
-            y[i, a] = 1.0
+    leaves = [tax.id_of(leaf) for leaf in ("a/b", "a/c", "d/e", "d/f")]
+    y = slow_close_labels([[leaves[i % 4]] for i in range(n)], tax.class_names)
     x = rng.normal(size=(n, d_in))
     params = init_params(d_in, h, 6, seed=5)
     # spread the class scores apart so the transform's max has a wide,
@@ -273,9 +252,12 @@ def test_parameter_gradients_match_finite_differences(mode):
     dscores = curriculum.hcl_grad(y, scores0, s0, tax, spec)
     analytic = backward(params, cache0, dscores, grads_like(params))
 
+    ref_spec = curriculum.LossSpec(*SLOW_MODES[mode])  # the mode by the test-local table
+
     def value_at(p):
-        sc, _ = forward(p, x)
-        return _mode_value(mode, y, sc, tax, s0)
+        # the differentiated objective: the selection-weighted sum of the
+        # (transformed) base loss, the selection frozen
+        return s0 @ slow_hcl_loss(y, forward(p, x)[0], tax, ref_spec)[0]
 
     step = 1e-5
     worst = 0.0

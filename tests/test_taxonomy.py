@@ -1,4 +1,4 @@
-"""Tree construction, levels, ancestors, LCA, and node heights."""
+"""Tree construction, levels, LCA, and node heights."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hcl import verify
 from hcl.taxonomy import SEPARATOR, VIRTUAL_ROOT, Taxonomy, load_hierarchy_file, parse_hierarchy
+from slow_reference import slow_ancestors, tree_from_names
 
 
 def test_parse_basic_paths():
@@ -77,22 +78,6 @@ def test_lca_rejects_invalid_id(abc_taxonomy):
         abc_taxonomy.lca(0, 3)
 
 
-def test_ancestors_nearest_first():
-    t = parse_hierarchy(["1", "1/2", "1/2/5"])
-    names = [t.class_names[a] for a in t.ancestors(t.id_of("1/2/5"))]
-    assert names == ["1/2", "1"]
-
-
-def test_ancestors_of_top_level_class_is_empty():
-    t = parse_hierarchy(["1"])
-    assert t.ancestors(t.id_of("1")) == []
-
-
-def test_ancestors_rejects_invalid_id(abc_taxonomy):
-    with pytest.raises((ValueError, IndexError)):
-        abc_taxonomy.ancestors(-5)
-
-
 def test_levels_index_buckets():
     t = parse_hierarchy(["1", "1/2", "3"])
     buckets = t.levels_index
@@ -140,8 +125,9 @@ def test_lca_properties_on_random_trees(seed):
         a, b = rng.integers(0, t.n_classes, size=2)
         assert t.lca(int(a), int(b)) == t.lca(int(b), int(a))
         assert t.lca(int(a), int(a)) == int(a)
+    tree = tree_from_names(t.class_names)
     for c in range(t.n_classes):
-        for anc in t.ancestors(c):
+        for anc in slow_ancestors(tree, c):
             assert t.lca(c, anc) == anc
 
 
