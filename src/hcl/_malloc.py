@@ -3,13 +3,14 @@
 glibc serves a request of at least its mmap threshold with a fresh mapping
 that goes back to the kernel on free, and smaller ones from the heap. The
 threshold starts at 128 KiB and, by default, rises to the size of the
-largest mapped block freed so far, up to 32 MiB. After the first training
-pass frees a large block (the 14 MB train-split scores of ``hclbench wide``;
-its 20 MB hidden layer, before passes ran in row blocks), every later pass
-takes its blocks of up to that size from the heap, and how high the heap
-grows depends on where earlier allocations were left: the same run came out
-at a peak RSS of 142 MB or 158 MB, depending on how the set-ups fell
-between the passes.
+largest mapped block freed so far, up to 32 MiB. After the first pass
+frees a large block (the 14 MB train-split scores of ``hclbench wide``,
+which only the harness's scoring pass makes now that training scores the
+split block by block; its 20 MB hidden layer, before passes ran in row
+blocks), every later pass takes its blocks of up to that size from the
+heap, and how high the heap grows depends on where earlier allocations were
+left: the same run came out at a peak RSS of 142 MB or 158 MB, depending on
+how the set-ups fell between the passes.
 
 With the threshold fixed at 4 MiB (which also stops it from rising), each
 block of that size or more is its own mapping, as numpy's

@@ -23,7 +23,10 @@ The epoch-end pass computes only what selection reads: the column sums L
 of the (transformed) base loss and, with the curriculum, the scalar
 e_total. It sweeps row blocks of ``losses._row_blocks`` (256 rows, the
 remainder merged into the last) for every spec, so no N x C surface is ever
-live: per block, the base loss, the transform in place without routing
+live. The scores come as the N x C array or as an iterator of those row
+blocks (``mlp.train`` scores the train split block by block, so no N x C
+scores are live either); each block is folded into the sums before the next
+is drawn. Per block: the base loss, the transform in place without routing
 (``losses.hier_transform_in_place``), the column sums, and a count of the
 (transformed) bool 0-1 surface of ``losses.zero_one_errors`` rather than a
 sum of a float one. numpy sums a C-contiguous surface of several columns
@@ -49,6 +52,7 @@ batch still takes that routing from ``losses.hier_transform``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -232,12 +236,21 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     total (transformed) base loss, the sum of its per-class sums. ``value``
     sums over all N x C elements; ``hcl_grad`` gives the gradient of the
     loss that ``s`` weights.
+
+    ``scores`` is the N x C array, or an iterator that yields its
+    ``losses._row_blocks`` blocks in order; a block is read before the next
+    is drawn, so the iterator may overwrite one buffer. Too few or too many
+    blocks, or a block of the wrong shape, raise ValueError. Both forms give
+    the same bits.
     """
     loss_fn, _ = _base_fns(spec)
-    y, scores = losses._check_pair(y, scores)
+    y = np.asarray(y)
+    if not isinstance(scores, Iterator):
+        y, whole = losses._check_pair(y, scores)
+        scores = (whole[rows] for rows in losses._row_blocks(len(y)))
     L, e_total = None, 0
-    for rows in losses._row_blocks(len(y)):
-        surface = loss_fn(y[rows], scores[rows])
+    for rows, block in zip(losses._row_blocks(len(y)), scores, strict=True):
+        surface = loss_fn(y[rows], block)
         if spec.transform:
             losses.hier_transform_in_place(surface, taxonomy, spec.scope)
         if L is None:
@@ -246,7 +259,7 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
             surface[0] += L
             surface.sum(axis=0, out=L)
         if spec.curriculum:
-            errors = losses.zero_one_errors(y[rows], scores[rows], spec.decision_threshold)
+            errors = losses.zero_one_errors(y[rows], block, spec.decision_threshold)
             if spec.transform:
                 losses.hier_transform_in_place(errors, taxonomy, spec.scope)
             e_total += np.count_nonzero(errors)

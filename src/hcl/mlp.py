@@ -9,20 +9,28 @@ loop recomputes the curriculum selection vector once per epoch from a full
 eval-mode pass over the train split; the same pass provides the logged
 training loss, a per-example mean of the spec's (transformed) base loss, or
 of the curriculum objective when the spec has the curriculum. That pass
-finds only the parameters, the optimizer state, the split arrays and the
-dropout buffers live: the last batch's arrays are dropped after the batch
-loop and the split scores are never bound to a name, so every epoch peaks
-where the first does.
+scores the train split one row block at a time (``_score_blocks``) and
+hands each block to ``curriculum.hcl_loss``, which folds it into its
+per-class sums before it asks for the next, so the split's N x C scores are
+never held: one hidden scratch and one block of scores serve every block.
+The pass finds only the parameters, the optimizer state, the split arrays
+and the dropout buffers live: the last batch's arrays are dropped after the
+batch loop and the valid split's scores are never bound to a name, so every
+epoch peaks where the first does.
 
 A forward pass runs in the row blocks of ``losses._row_blocks``: 256 rows
 each, the remainder merged into the last, so every block has 256 to 511
 rows and a call of fewer than 512 rows is one block. Each block evaluates
-``sigmoid(relu(x @ W1 + b1) * mask_scale @ W2 + b2)`` on its rows one
-expression at a time: its hidden rows go into one scratch array that every
-block reuses, the bias add, ReLU and dropout scale overwrite the matmul's
-output in that order (the same elementwise operation on the same operands,
-only written in place), and the second matmul writes into the block's rows
-of the scores, which the sigmoid then overwrites (see ``_sigmoid``).
+``sigmoid(relu(x @ W1 + b1) * mask * scale @ W2 + b2)`` on its rows one
+expression at a time (``_score_block``, the one per-block body of
+``forward`` and ``_score_blocks``): its hidden rows go into one scratch
+array that every block reuses, the bias add, ReLU, 0/1 dropout mask and
+scalar ``scale = 1/(1-rate)`` overwrite the matmul's output in that order
+(the same elementwise operation on the same operands, only written in
+place), and the second matmul writes into the block's rows of the scores,
+which the sigmoid then overwrites (see ``_sigmoid``). ``forward`` writes
+every block into the call's N x C scores; ``_score_blocks`` writes each
+into one block buffer that the next overwrites.
 
 An output element reads only its own row, so the elementwise steps give the
 same bits in any blocking. A matmul need not: BLAS may run a block's
@@ -32,21 +40,27 @@ another order. OpenBLAS's Haswell and Zen kernels do (some row blocks of
 compare each block with a reference computed on that block's rows alone,
 never with a whole-split product.
 
-What the cache holds: a call of one block, such as every training batch,
-keeps its hidden layer (the scratch itself) for ``backward``. A call of
-several blocks keeps none (``ForwardCache.hidden`` is None), so a scoring or
-epoch-end pass never holds N x H floats: at H=800 the scratch is 1.6-3.3
+What the cache holds: the dropout mask as given (no float copy) and the
+scale, and for a call of one block, such as every training batch, its
+hidden layer (the scratch itself) for ``backward``. A call of several
+blocks keeps no hidden layer (``ForwardCache.hidden`` is None), so a
+scoring pass never holds N x H floats: at H=800 the scratch is 1.6-3.3
 MB, where ``hclbench wide``'s 3072 train rows took 19.7 MB. At 511 rows or
 fewer it stays under glibc's 4 MiB mmap threshold for H up to 1026, so it
-comes from the heap (see ``_malloc``). ``backward`` after such a call
+comes from the heap (see ``_malloc``); so does ``_score_blocks``' block
+buffer for C up to 1026. ``backward`` after a call of several blocks
 rebuilds the hidden layer block by block with the same code, so the
 gradients have the bits that a kept layer would give; it reads the
-parameters as they are, so it must run before they change, as in
-``train``.
+parameters and the mask as they are, so it must run before they change,
+as in ``train``.
+Dropout multiplies by the 0/1 mask and then by ``scale``, in both passes:
+``v * 1 * scale`` is ``v * scale``, and ``v * 0`` is a signed zero (or NaN)
+that a positive ``scale`` keeps, so the bits are those of one multiply by
+the float mask ``mask / (1 - rate)``, which is never built.
 ``backward`` masks the ReLU with ``hidden > 0``: with a binary mask and
-``s = 1/(1-rate) >= 1``, a kept unit's ``max(z1, 0) * s`` is positive
-exactly when ``z1 > 0``, and a dropped unit's upstream ``dhidden * 0`` is
-a signed zero (or NaN) that both masks leave as it is.
+``scale >= 1``, a kept unit's ``max(z1, 0) * scale`` is positive exactly
+when ``z1 > 0``, and a dropped unit's upstream ``dhidden * 0`` is a signed
+zero (or NaN) that both masks leave as it is.
 
 The parameters live in one float64 vector, ``MlpParams.flat``: W1 (D x H,
 row-major), b1, W2 (H x C, row-major), b2, the checkpoint's order. The four
@@ -203,18 +217,42 @@ class ForwardCache:
     params: MlpParams = field(repr=False)
     x: np.ndarray = field(repr=False)
     hidden: np.ndarray | None = field(repr=False)  # post-relu, post-dropout; None past one block
-    mask_scale: np.ndarray | None = field(repr=False)
+    mask: np.ndarray | None = field(repr=False)  # the 0/1 dropout mask, None in eval mode
+    scale: float
     scores: np.ndarray = field(repr=False)
 
 
-def _hidden_block(params: MlpParams, x, mask_scale, out):
-    """``relu(x @ W1 + b1) * mask_scale`` written into ``out``, which it returns."""
+def _hidden_block(params: MlpParams, x, mask, scale, out):
+    """``relu(x @ W1 + b1) * mask * scale`` (no dropout when ``mask`` is
+    None) written into ``out``, which it returns."""
     np.matmul(x, params.W1, out=out)
     out += params.b1
     np.maximum(out, 0.0, out=out)
-    if mask_scale is not None:
-        out *= mask_scale
+    if mask is not None:
+        out *= mask
+        out *= scale
     return out
+
+
+def _score_block(params: MlpParams, x, mask, scale, hidden, out):
+    """One row block's scores, ``sigmoid(hidden @ W2 + b2)``, written into
+    ``out``, which it returns; ``hidden`` is overwritten with the block's
+    hidden layer first (``_hidden_block``)."""
+    np.matmul(_hidden_block(params, x, mask, scale, hidden), params.W2, out=out)
+    out += params.b2
+    return _sigmoid(out)
+
+
+def _score_blocks(params: MlpParams, x):
+    """Yield the eval-mode scores of each ``losses._row_blocks`` block of
+    ``x`` in turn. Every block is written into one buffer made for the
+    pass, so a block holds its scores only until the next is drawn."""
+    blocks = losses._row_blocks(len(x))
+    longest = blocks[-1].stop - blocks[-1].start
+    hidden, out = (np.empty((longest, n)) for n in params.dims[1:])
+    for rows in blocks:
+        n = rows.stop - rows.start
+        yield _score_block(params, x[rows], None, 1.0, hidden[:n], out[:n])
 
 
 def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
@@ -225,7 +263,7 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
             f"feature width {x.shape[-1] if x.ndim == 2 else '?'} does not match "
             f"D={params.W1.shape[0]}"
         )
-    mask_scale = None
+    scale = 1.0
     if dropout_mask is not None:
         if dropout_mask.shape != (x.shape[0], params.W1.shape[1]):
             raise ValueError("dropout mask shape does not match hidden activations")
@@ -233,20 +271,16 @@ def forward(params: MlpParams, x, dropout_mask=None, dropout_rate: float = 0.0):
             raise ValueError("dropout mask entries must be 0 or 1")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-        mask_scale = dropout_mask / (1.0 - dropout_rate)
+        scale = 1.0 / (1.0 - dropout_rate)
     blocks = losses._row_blocks(len(x))
     # the last block is the longest; with one block this is the hidden layer
     scratch = np.empty((blocks[-1].stop - blocks[-1].start, params.dims[1]))
     scores = np.empty((len(x), params.dims[2]))
     for rows in blocks:
-        hidden = _hidden_block(params, x[rows], None if mask_scale is None else mask_scale[rows],
-                               scratch[:rows.stop - rows.start])
-        block = scores[rows]
-        np.matmul(hidden, params.W2, out=block)
-        block += params.b2
-        _sigmoid(block)
+        _score_block(params, x[rows], None if dropout_mask is None else dropout_mask[rows],
+                     scale, scratch[:rows.stop - rows.start], scores[rows])
     cache = ForwardCache(params=params, x=x, hidden=scratch if len(blocks) == 1 else None,
-                         mask_scale=mask_scale, scores=scores)
+                         mask=dropout_mask, scale=scale, scores=scores)
     return scores, cache
 
 
@@ -267,15 +301,15 @@ def backward(params: MlpParams, cache: ForwardCache, dscores, grads: MlpParams) 
     if hidden is None:
         hidden = np.empty((len(cache.x), params.dims[1]))
         for rows in losses._row_blocks(len(cache.x)):
-            _hidden_block(params, cache.x[rows],
-                          None if cache.mask_scale is None else cache.mask_scale[rows],
-                          hidden[rows])
+            _hidden_block(params, cache.x[rows], None if cache.mask is None else cache.mask[rows],
+                          cache.scale, hidden[rows])
     dz2 = dscores * cache.scores * (1.0 - cache.scores)
     np.matmul(hidden.T, dz2, out=grads.W2)
     dz2.sum(axis=0, out=grads.b2)
     dhidden = dz2 @ params.W2.T
-    if cache.mask_scale is not None:
-        dhidden *= cache.mask_scale
+    if cache.mask is not None:  # the mask, then the scale, as in forward
+        dhidden *= cache.mask
+        dhidden *= cache.scale
     dhidden *= hidden > 0  # dz1, see the module docstring
     np.matmul(cache.x.T, dhidden, out=grads.W1)
     dhidden.sum(axis=0, out=grads.b1)
@@ -373,7 +407,8 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
 
     # Epoch 1 trains every class: selection needs loss statistics, and an
     # untrained model has none worth acting on. Each epoch end recomputes
-    # the selection from a full clean forward pass for the next epoch.
+    # the selection from a full clean pass over the train split for the
+    # next epoch.
     s = np.ones(taxonomy.n_classes)
 
     # Dropout draws and masks go into per-run buffers; a short last batch
@@ -401,7 +436,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
             opt.step(params, backward(params, cache, dscores, grads))
         del xb, yb, scores, cache, dscores, grads  # not live through the epoch-end pass
 
-        value, s = curriculum.hcl_loss(y_tr, forward(params, x_tr)[0], taxonomy, spec)
+        value, s = curriculum.hcl_loss(y_tr, _score_blocks(params, x_tr), taxonomy, spec)
         train_loss = value / len(y_tr)
         if not np.isfinite(train_loss):
             raise TrainingDiverged(

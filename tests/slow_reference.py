@@ -53,14 +53,17 @@ The references, each with the fast path it checks:
   ``mlp._Optimizer.step``.
 - ``slow_sigmoid``: the masked gather/scatter sigmoid; ``mlp._sigmoid``.
 - ``slow_mlp_forward`` and ``slow_mlp_backward``: the allocating passes,
-  whose cache keeps the pre-ReLU ``z1``; ``mlp.forward`` and ``backward``.
+  whose cache keeps the pre-ReLU ``z1`` and the float dropout mask
+  ``mask / (1 - rate)``; ``mlp.forward``, its per-block body
+  ``mlp._score_block``, and ``backward``.
 - ``slow_row_blocks`` and ``slow_blocked_forward``: ``slow_mlp_forward`` run
   on each 256-row block's rows alone, never a whole-split product, whose row
   blocks some BLAS kernels round differently (one-column products
-  included); ``losses._row_blocks`` and the blocked ``mlp.forward``.
+  included); ``losses._row_blocks``, the blocked ``mlp.forward`` and the
+  block scorer ``mlp._score_blocks``.
 - ``slow_train``: the training loop that drew each dropout mask into fresh
-  arrays and wrote each batch's gradients into a fresh vector;
-  ``mlp.train``.
+  arrays, wrote each batch's gradients into a fresh vector and scored the
+  whole train split at once for the epoch-end pass; ``mlp.train``.
 - ``slow_rank_order``: each row's columns in rank order by ``lexsort``;
   ``metrics._first_in_rank`` and ``_rank_of``.
 - ``slow_evaluate_loops``: the per-example ranking and LCA loops;
@@ -197,9 +200,11 @@ def _slow_scan(base, scope_of):
 
 
 def slow_all_shallower(base, tax):
-    """A per-class scan of every strictly shallower column."""
+    """A per-class scan of every strictly shallower column, each depth's set
+    of columns built once."""
     depth = np.asarray(tree_from_names(tax.class_names).depth)
-    return _slow_scan(base, lambda j: np.flatnonzero(depth < depth[j]))
+    shallower = {d: np.flatnonzero(depth < d) for d in set(depth.tolist())}
+    return _slow_scan(base, lambda j: shallower[depth[j]])
 
 
 def slow_ancestors_only(base, tax):
@@ -417,9 +422,10 @@ def slow_blocked_forward(params, x, dropout_mask=None, dropout_rate=0.0):
 
 def slow_train(dataset, taxonomy, cfg):
     """The training loop that drew each batch's dropout mask into fresh
-    arrays, ``(rng.random((B, H)) >= rate).astype(float64)``, and wrote
-    each batch's gradients into a fresh vector. It checks the loop's order
-    and buffers alone, so it calls the live code for everything else."""
+    arrays, ``(rng.random((B, H)) >= rate).astype(float64)``, wrote each
+    batch's gradients into a fresh vector, and handed ``hcl_loss`` the
+    whole train split's N x C scores. It checks the loop's order and
+    buffers alone, so it calls the live code for everything else."""
     from hcl import curriculum, metrics, mlp
 
     x_tr, y_tr = (a[dataset.indices("train")] for a in (dataset.features, dataset.labels))

@@ -221,6 +221,55 @@ def test_mlp_forward_and_backward_match_allocating_reference(n_classes, n, rate)
                 assert _same_bits(fast, slow)
 
 
+# values that meet the dropout multiply: signed zeros, NaN of both signs,
+# infinities, and magnitudes that stay finite (1e308) or overflow (1.7e308)
+# when scaled by 1/(1-rate) = 4/3
+DROPOUT_EDGES = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                 1e308, -1e308, 1.7e308, -1.7e308)
+
+
+def test_dropout_by_mask_then_scale_matches_float_mask_on_edge_values():
+    """Both passes multiply by the 0/1 mask and then by 1/(1-rate); the
+    references multiply once by the float mask ``mask / (1 - rate)``. On
+    one-row calls, whose bias gradient is the row's ReLU gradient itself,
+    they agree bit for bit with the edge values in the hidden layer (odd
+    trials) or in its upstream gradient (even trials: dead units whose
+    output weights are +-1e308 or +-1.7e308, and an edge value in the
+    scores' upstream). A NaN score's sign bit is the sigmoid's own (see
+    ``test_sigmoid_matches_masked_reference_on_edge_logits``), so both
+    backward passes start from the fast scores."""
+    rng = np.random.default_rng(13)
+    d, h, c, rate = 4, 32, 6, 0.25
+    seen = np.zeros(4, dtype=bool)  # NaN and inf hidden units; NaN and finite dz1
+    for trial in range(200):
+        params = mlp.init_params(d, h, c, seed=trial)
+        params.b1[:] = rng.normal(size=h)
+        units = rng.permutation(h)[:6]
+        if trial % 2:
+            params.b1[units] = rng.choice(DROPOUT_EDGES, 6)
+        else:
+            params.b1[units] = -1e3
+            params.W2[units] = rng.choice(DROPOUT_EDGES[6:], (6, c))
+        x = np.zeros((1, d)) if trial % 4 < 2 else rng.normal(size=(1, d))  # zeros: relu(b1)
+        mask = rng.random((1, h)) >= rate
+        dscores = rng.normal(scale=5.0, size=(1, c))
+        dscores[0, rng.integers(c)] = rng.choice(DROPOUT_EDGES)
+        with np.errstate(all="ignore"):  # NaN and overflow are what is tested
+            scores, cache = mlp.forward(params, x, mask, rate)
+            grads = mlp.backward(params, cache, dscores,
+                                 mlp.MlpParams(np.empty_like(params.flat), params.dims))
+            ref_scores, ref_cache = slow_mlp_forward(params, x, mask.astype(np.float64), rate)
+            ref = slow_mlp_backward(params, dict(ref_cache, scores=scores), dscores)
+        assert _same_bits(cache.hidden, ref_cache["hidden"])
+        assert np.array_equal(scores, ref_scores, equal_nan=True)
+        assert _same_bits(scores[~np.isnan(scores)], ref_scores[~np.isnan(scores)])
+        for fast, slow in zip(views(grads), ref):
+            assert _same_bits(fast, slow)
+        seen |= (np.isnan(cache.hidden).any(), np.isinf(cache.hidden).any(),
+                 np.isnan(grads.b1).any(), (np.isfinite(grads.b1) & (grads.b1 != 0)).any())
+    assert seen.all()
+
+
 def test_sigmoid_matches_masked_reference_on_edge_logits():
     rng = np.random.default_rng(3)
     edges = np.array([np.inf, -np.inf, 0.0, -0.0, 745.0, -745.0, 800.0, -800.0,
@@ -280,6 +329,9 @@ def test_blocked_forward_matches_per_block_reference(dims, which):
         scores, cache = mlp.forward(params, x, **kw)
         ref_scores, ref_cache = slow_blocked_forward(params, x, **kw)
         assert _same_bits(scores, ref_scores)
+        if rate is None:  # the block scorer writes every block into one buffer
+            streamed = [block.copy() for block in mlp._score_blocks(params, x)]
+            assert _same_bits(np.concatenate(streamed), ref_scores)
         if len(blocks) == 1:
             assert _same_bits(cache.hidden, ref_cache["hidden"])
         else:
@@ -338,6 +390,9 @@ def _capture_aggregates(monkeypatch):
 @pytest.mark.parametrize("c", sorted(EPOCH_END_TAXONOMIES))
 @pytest.mark.parametrize("base", curriculum.BASE_LOSSES)
 def test_blocked_epoch_end_pass_matches_whole_surface_aggregate(base, c, which, monkeypatch):
+    """``hcl_loss`` on the whole score array, and on its row blocks handed
+    over one at a time in one reused buffer, against the whole-surface
+    reference."""
     tax = EPOCH_END_TAXONOMIES[c]
     n = _block_row_counts(losses._PASS_ROWS)[which]
     seen = _capture_aggregates(monkeypatch)
@@ -348,15 +403,26 @@ def test_blocked_epoch_end_pass_matches_whole_surface_aggregate(base, c, which, 
             scores = _edge_scores(rng, (n, c))
             spec = curriculum.LossSpec(base, transform=transform, scope=scope, gamma=1.5,
                                        decision_threshold=0.4)
-            value, s = curriculum.hcl_loss(y, scores, tax, spec)
             L, e_total, s_ref, value_ref = slow_hcl_loss(y, scores, tax, spec)
-            agg = seen.pop()
-            assert agg.e_h_total == e_total
-            assert np.array_equal(agg.L, L, equal_nan=True)
-            finite = ~np.isnan(L)
-            assert _same_bits(agg.L[finite], L[finite])
-            assert np.array_equal(s, s_ref)
-            assert _same_bits(value, value_ref)
+            for form in (scores, _blocks_in_one_buffer(scores, slow_row_blocks(n))):
+                value, s = curriculum.hcl_loss(y, form, tax, spec)
+                agg = seen.pop()
+                assert agg.e_h_total == e_total
+                assert np.array_equal(agg.L, L, equal_nan=True)
+                finite = ~np.isnan(L)
+                assert _same_bits(agg.L[finite], L[finite])
+                assert np.array_equal(s, s_ref)
+                assert _same_bits(value, value_ref)
+
+
+def _blocks_in_one_buffer(scores, blocks):
+    """Each block's rows of ``scores`` in turn, copied into one buffer that
+    the next block overwrites."""
+    buf = np.full((2 * losses._PASS_ROWS, scores.shape[1]), np.nan)
+    for rows in blocks:
+        out = buf[:rows.stop - rows.start]
+        out[...] = scores[rows]
+        yield out
 
 
 def _traced_peak(fn):
@@ -715,6 +781,75 @@ def test_dropout_training_matches_per_batch_mask_reference(batch_size):
     as_jsonl = [json.dumps(e.jsonl_dict(), sort_keys=True) for e in log]  # as metrics.jsonl
     assert as_jsonl == [json.dumps(e.jsonl_dict(), sort_keys=True) for e in ref_log]
     assert _same_bits(params.flat, ref_params.flat)
+
+
+def _streamed_dataset():
+    """About 800 train rows: three row blocks, the remainder merged."""
+    return data.split(data.synth_generate(data.SynthConfig(
+        levels=3, branching=3, examples_per_leaf=148, feature_dim=5, seed=4)), seed=0)
+
+
+@pytest.mark.parametrize("mode, scope", [
+    (mode, scope) for mode, (_, transform, _) in SLOW_MODES.items()
+    for scope in ((SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY) if transform
+                  else (SCOPE_ALL_SHALLOWER,))])
+def test_streamed_epoch_end_pass_matches_whole_split_reference(mode, scope):
+    """``train`` hands ``hcl_loss`` the train split's scores one row block
+    at a time; ``slow_train`` hands it the whole split's. Every preset, with
+    dropout, gives the same log lines and parameters bit for bit."""
+    d = _streamed_dataset()
+    n_train = len(d.indices("train"))
+    assert len(slow_row_blocks(n_train)) == 3 and n_train % losses._PASS_ROWS
+    cfg = mlp.TrainConfig(hidden_width=16, epochs=2, seed=3, dropout_rate=0.25,
+                          loss_mode=mode, transform_scope=scope)
+    params, log = mlp.train(d, d.taxonomy, cfg)
+    ref_params, ref_log = slow_train(d, d.taxonomy, cfg)
+    as_jsonl = [json.dumps(e.jsonl_dict(), sort_keys=True) for e in log]  # as metrics.jsonl
+    assert as_jsonl == [json.dumps(e.jsonl_dict(), sort_keys=True) for e in ref_log]
+    assert all(np.array_equal(e.selected, r.selected) for e, r in zip(log, ref_log))
+    assert _same_bits(params.flat, ref_params.flat)
+
+
+def test_hcl_loss_rejects_a_wrong_count_or_shape_of_row_blocks():
+    tax = EPOCH_END_TAXONOMIES[12]
+    r = losses._PASS_ROWS
+    n = 3 * r + r // 3
+    rng = np.random.default_rng(8)
+    y = rng.choice([-1, 1], size=(n, 12)).astype(np.int8)
+    scores = rng.uniform(size=(n, 12))
+    blocks = slow_row_blocks(n)
+    wrong = {
+        "too few": [scores[rows] for rows in blocks[:-1]],
+        "too many": [scores[rows] for rows in blocks + blocks[-1:]],
+        "a row short": [scores[rows] for rows in blocks[:-1]] + [scores[blocks[-1]][:-1]],
+        "a column short": [scores[rows][:, :-1] for rows in blocks],
+    }
+    for spec in curriculum.LOSS_PRESETS.values():
+        for case, parts in wrong.items():
+            with pytest.raises(ValueError) as err:
+                curriculum.hcl_loss(y, iter(parts), tax, spec)
+            assert "\n" not in str(err.value), case
+
+
+def test_training_epoch_peaks_below_the_train_split_scores():
+    """One epoch of ``train`` on 8320 x 584 train rows, against which the
+    weights and valid rows are small: the epoch-end pass holds one block of
+    scores at a time, so the whole epoch peaks below the size of the train
+    split's float64 score matrix (38.9 MB), which a pass that scored the
+    whole split would hold on top of everything else."""
+    tax = EPOCH_END_TAXONOMIES[584]
+    r = losses._PASS_ROWS
+    n_train, n_valid = 32 * r + r // 2, 64
+    n, c = n_train + n_valid, tax.n_classes
+    rng = np.random.default_rng(9)
+    top = [j for j, name in enumerate(tax.class_names) if "/" not in name]
+    labels = np.full((n, c), -1, dtype=np.int8)
+    labels[np.arange(n), rng.choice(top, size=n)] = 1
+    d = data.Dataset(rng.normal(size=(n, 4)), labels, tax,
+                     np.repeat([0, 1], [n_train, n_valid]))
+    cfg = mlp.TrainConfig(hidden_width=8, epochs=1, seed=1)
+    peak = _traced_peak(lambda: mlp.train(d, tax, cfg))
+    assert peak < 8 * n_train * c, peak
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,10 @@ REFERENCES = {
     "slow_hcl_grad": ["curriculum.hcl_grad"],
     "slow_optimizer_step": ["mlp._Optimizer.step"],
     "slow_sigmoid": ["mlp._sigmoid"],
-    "slow_mlp_forward": ["mlp._hidden_block", "mlp.forward"],
+    "slow_mlp_forward": ["mlp._hidden_block", "mlp._score_block", "mlp.forward"],
     "slow_mlp_backward": ["mlp.backward"],
     "slow_row_blocks": ["losses._row_blocks"],
+    "slow_blocked_forward": ["mlp._score_blocks"],
     "slow_train": ["mlp.train"],
     "slow_rank_order": ["metrics._first_in_rank", "metrics._rank_of"],
     "slow_evaluate_loops": ["metrics._miss_ranks", "metrics.evaluate"],
