@@ -369,6 +369,9 @@ def ablation_reports(d: data.Dataset, tc: mlp.TrainConfig, leaves_only: bool = F
 
 
 def cmd_ablate(args) -> int:
+    # the arms fix the loss mode; a config file's loss key, shared with train, is ignored
+    if any(key == "loss" for key, _ in _collect_overrides(args)):
+        raise UsageError(f"ablate trains the arms {', '.join(ABLATION_ARMS)}; loss cannot be set")
     cfg, d, tc, run_dir = _start_run(args, "ablate")  # one dataset and split for every arm
 
     start = time.perf_counter()
@@ -436,14 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         if with_train_shortcuts:
-            p.add_argument("--loss", choices=curriculum.LOSS_MODES,
-                           help="shortcut for --set loss=...")
             p.add_argument("--seed", type=int, help="shortcut for --set seed=...")
             p.add_argument("--epochs", type=int, help="shortcut for --set epochs=...")
             p.add_argument("--lr", type=float, help="shortcut for --set lr=...")
 
     p_train = sub.add_parser("train", help="train a model and persist the run")
     add_config_flags(p_train)
+    # ablate has no --loss: each arm sets its own loss mode
+    p_train.add_argument("--loss", choices=curriculum.LOSS_MODES,
+                         help="shortcut for --set loss=...")
     p_train.add_argument("--out", help="run directory (default: timestamped under the run root)")
     p_train.set_defaults(func=cmd_train)
 

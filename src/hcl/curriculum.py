@@ -26,18 +26,22 @@ remainder merged into the last) for every spec, so no N x C surface is ever
 live. The scores come as the N x C array or as an iterator of those row
 blocks (``mlp.train`` scores the train split block by block, so no N x C
 scores are live either); each block is folded into the sums before the next
-is drawn. Per block: the base loss, the transform in place without routing
-(``losses.hier_transform_in_place``), the column sums, and a count of the
-(transformed) bool 0-1 surface of ``losses.zero_one_errors`` rather than a
-sum of a float one. numpy sums a C-contiguous surface of several columns
-over axis 0 row by row, in order; adding the running sums into a block's
-first row before summing the block continues that order, so L has the bits
-of the whole surface's column sums. Everything else reads one row at a
-time, so the pass gives the same bits as ``hier_transform`` followed by
-``aggregate_class_losses`` over the whole surface, the reference that
-``verify`` uses: a count of at most 2^53 errors converts to the float sum of
-zeros and ones exactly. A spec without the curriculum skips the 0-1 count
-and logs the sum of L.
+is drawn. Per block: the base loss, written into one block-sized buffer
+made once per pass (the last block is the longest), the transform in place
+without routing (``losses.hier_transform_in_place``), the column sums, and
+a count of the (transformed) bool 0-1 surface of
+``losses.zero_one_errors`` rather than a sum of a float one. Under the
+all-shallower scope the count needs no transform (``_error_count``): per
+row and level it adds the level's width once a shallower level holds an
+error, and the level's own errors otherwise. numpy sums a C-contiguous
+surface of several columns over axis 0 row by row, in order; adding the
+running sums into a block's first row before summing the block continues
+that order, so L has the bits of the whole surface's column sums.
+Everything else reads one row at a time, so the pass gives the same bits as
+``hier_transform`` followed by ``aggregate_class_losses`` over the whole
+surface, the reference that ``verify`` uses: a count of at most 2^53
+errors converts to the float sum of zeros and ones exactly. A spec without
+the curriculum skips the 0-1 count and logs the sum of L.
 
 The batch path, ``hcl_grad``, clips the raw scores once for a bce spec with
 the transform: ``losses.bce_loss_grad`` gives the loss that the transform
@@ -45,9 +49,11 @@ routes by and the gradient from one clamped copy (a focal spec clamps in
 each base function). The selection holds only 0.0 and 1.0, checked on
 entry, so the weight routed to base element (i, k) is the number of
 selected j with ``routing[i, j] == k``: one ``bincount`` over the selected
-columns of the routing. A sum of ones is exact in any order, so it has the
-bits of ``losses.hier_transform_backward`` of the broadcast selection. The
-batch still takes that routing from ``losses.hier_transform``.
+columns of the routing, or over the whole routing, with no gather, when
+every class is selected (all of epoch 1). A sum of ones is exact in any
+order, so it has the bits of ``losses.hier_transform_backward`` of the
+broadcast selection. The batch still takes that routing from
+``losses.hier_transform``.
 """
 
 from __future__ import annotations
@@ -241,16 +247,20 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     ``losses._row_blocks`` blocks in order; a block is read before the next
     is drawn, so the iterator may overwrite one buffer. Too few or too many
     blocks, or a block of the wrong shape, raise ValueError. Both forms give
-    the same bits.
+    the same bits. Each block's base loss goes into one buffer, sized by the
+    longest (last) block and made once per call.
     """
     loss_fn, _ = _base_fns(spec)
     y = np.asarray(y)
+    blocks = losses._row_blocks(len(y))
     if not isinstance(scores, Iterator):
         y, whole = losses._check_pair(y, scores)
-        scores = (whole[rows] for rows in losses._row_blocks(len(y)))
+        scores = (whole[rows] for rows in blocks)
+    # one buffer for every block's base loss; the last block is the longest
+    buf = np.empty((blocks[-1].stop - blocks[-1].start, y.shape[-1]))
     L, e_total = None, 0
-    for rows, block in zip(losses._row_blocks(len(y)), scores, strict=True):
-        surface = loss_fn(y[rows], block)
+    for rows, block in zip(blocks, scores, strict=True):
+        surface = loss_fn(y[rows], block, out=buf[:rows.stop - rows.start])
         if spec.transform:
             losses.hier_transform_in_place(surface, taxonomy, spec.scope)
         if L is None:
@@ -260,14 +270,31 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
             surface.sum(axis=0, out=L)
         if spec.curriculum:
             errors = losses.zero_one_errors(y[rows], block, spec.decision_threshold)
-            if spec.transform:
-                losses.hier_transform_in_place(errors, taxonomy, spec.scope)
-            e_total += np.count_nonzero(errors)
+            e_total += _error_count(errors, taxonomy, spec)
     if not spec.curriculum:
         return float(L.sum()), np.ones(taxonomy.n_classes)
     agg = ClassLossAggregate(L=L, e_h_total=float(e_total))
     s = select_classes(agg, rule=spec.rule, thresh=spec.thresh)
     return curriculum_objective(s, agg), s
+
+
+def _error_count(errors, taxonomy: Taxonomy, spec: LossSpec) -> int:
+    """The number of errors on the spec's (transformed) bool 0-1 surface.
+
+    All-shallower: a row's class at a level is an error once a shallower
+    level of the row holds one, so per row and level this adds the level's
+    width after the row's first error and the level's own count otherwise.
+    Ancestors-only transforms the surface in place and counts it."""
+    if spec.transform and spec.scope == losses.SCOPE_ALL_SHALLOWER:
+        count, seen = 0, np.zeros(len(errors), dtype=bool)
+        for ids in taxonomy.levels_index[1:]:
+            per_row = np.count_nonzero(errors[:, ids], axis=1)
+            count += len(ids) * int(np.count_nonzero(seen)) + int(per_row[~seen].sum())
+            seen |= per_row > 0
+        return count
+    if spec.transform:
+        losses.hier_transform_in_place(errors, taxonomy, spec.scope)
+    return int(np.count_nonzero(errors))
 
 
 def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
@@ -294,7 +321,8 @@ def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
         loss, grad = loss_fn(y, scores), grad_fn(y, scores)
     _, routing = losses.hier_transform(loss, taxonomy, scope=spec.scope)
     n = len(routing)
-    flat = routing[:, s == 1.0]
+    # every class: no gather; compress keeps C order, which a mask index does not
+    flat = routing if s.all() else routing.compress(s == 1.0, axis=1)
     flat += (np.arange(n) * c)[:, None]
     grad *= np.bincount(flat.ravel(), minlength=n * c).reshape(n, c)
     return grad

@@ -22,18 +22,22 @@ the bits of the general ones:
   counting its True entries gives the float sum of the transformed 0/1
   float surface exactly: a sum of at most 2^53 zeros and ones has no
   rounding, whatever its order.
-- ``bce_loss`` and ``bce_grad`` evaluate each label's branch only on that
-  label's elements (``where=`` masks into one output). Every element gets
-  the same operations on the same value as in the two-branch ``np.where``
-  form, so the same bits. The output is the clamped copy of the scores
-  that each base function makes for itself. ``focal_loss`` writes over its
-  copy the same way and keeps one more block-sized array, the factor
-  ``(1-p_t)^gamma``.
+- ``bce_loss`` and ``bce_grad`` run no masked ufunc. They run the y <= 0
+  branch over every element, then put the y > 0 branch over the
+  positives, by flat C-order position (``np.flatnonzero``); the
+  positives' clamped scores are gathered before any write. Hierarchical
+  labels are sparse, so the second step is short. Every element gets the
+  same operations on the same value as in the two-branch ``np.where``
+  form, so the same bits. The output is the C-ordered clamped copy of the
+  scores that each base function makes for itself (whatever the scores'
+  order), or a buffer the caller passes as ``out``: ``curriculum.hcl_loss``
+  passes one per pass. ``focal_loss`` writes over its copy the same way
+  and keeps one more block-sized array, the factor ``(1-p_t)^gamma``.
 
 The batch gradient (``curriculum.hcl_grad``) needs both the bce loss, which
 the transform routes by, and the bce gradient. ``bce_loss_grad`` gives the
-two from one clamped copy and one label mask, with the bits of the two
-functions. The routing sweeps do their id arithmetic in the narrowest
+two from one clamped copy and one list of the positives, with the bits of
+the two functions. The routing sweeps do their id arithmetic in the narrowest
 signed integer type that holds C (``_id_dtype``; int16 at C=584), selecting
 with mask arithmetic rather than ``np.where``, and write int64 routing. The
 routing array stays, though the batch reads no transformed value: each base
@@ -111,74 +115,75 @@ def zero_one_errors(y, s, decision_threshold: float) -> np.ndarray:
     return np.logical_not(hit, out=hit)
 
 
-def _clamped_pair(y, s):
-    """Labels and a new array of the scores clamped to [eps, 1-eps], the
-    values every log loss reads. The bce functions and ``focal_loss`` write
-    their output over it, as their branch ops only ever read an element
-    before writing it."""
+def _clamped_pair(y, s, out=None):
+    """Labels and the scores clamped to [eps, 1-eps], the values every log
+    loss reads, written into ``out`` (a new C-ordered array when None). The
+    bce functions and ``focal_loss`` write their output over it, as their
+    branch ops only ever read an element before writing it."""
     y, s = _check_pair(y, s)
-    return y, np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
+    return y, np.clip(s, LOG_EPS, 1.0 - LOG_EPS, out=np.empty(s.shape) if out is None else out)
 
 
-def _bce_loss_into(sc, pos, neg, out):
-    np.log(sc, out=out, where=pos)
-    np.negative(sc, out=out, where=neg)
-    np.log1p(out, out=out, where=neg)
+def _bce_loss_into(sc, pos, out):
+    """The bce loss of the clamped scores ``sc`` into ``out`` (which may be
+    ``sc``): the y <= 0 branch over every element, then the logs of the
+    positives (flat C-order ids ``pos``) put over their places."""
+    at_pos = np.log(np.take(sc, pos))
+    np.negative(sc, out=out)
+    np.log1p(out, out=out)
+    np.put(out, pos, at_pos)
     return np.negative(out, out=out)
 
 
-def _bce_grad_into(sc, pos, neg, out):
-    np.subtract(1.0, sc, out=out, where=neg)
-    np.divide(1.0, out, out=out, where=neg)
-    np.divide(-1.0, sc, out=out, where=pos)
+def _bce_grad_into(sc, pos, out):
+    """The bce gradient of ``sc`` into ``out`` (which may be ``sc``), as
+    ``_bce_loss_into`` does: the positives are read before any write."""
+    at_pos = np.divide(-1.0, np.take(sc, pos))
+    np.subtract(1.0, sc, out=out)
+    np.divide(1.0, out, out=out)
+    np.put(out, pos, at_pos)
     return out
 
 
-def bce_loss(y, s) -> np.ndarray:
-    """Binary cross entropy per element, scores clamped to [eps, 1-eps].
-
-    ``-log(sc)`` where y > 0, ``-log1p(-sc)`` elsewhere, each evaluated only
-    on its own elements.
-    """
-    y, sc = _clamped_pair(y, s)
-    pos = y > 0
-    return _bce_loss_into(sc, pos, ~pos, out=sc)
+def bce_loss(y, s, out=None) -> np.ndarray:
+    """Binary cross entropy per element, scores clamped to [eps, 1-eps]:
+    ``-log(sc)`` where y > 0, ``-log1p(-sc)`` elsewhere. Written into
+    ``out`` when it is given (an array of the scores' shape)."""
+    y, sc = _clamped_pair(y, s, out)
+    return _bce_loss_into(sc, np.flatnonzero(y > 0), out=sc)
 
 
 def bce_grad(y, s) -> np.ndarray:
     """d(bce)/d(score) per element, evaluated on the clamped score:
-    ``-1 / sc`` where y > 0, ``1 / (1 - sc)`` elsewhere, each evaluated only
-    on its own elements."""
+    ``-1 / sc`` where y > 0, ``1 / (1 - sc)`` elsewhere."""
     y, sc = _clamped_pair(y, s)
-    pos = y > 0
-    return _bce_grad_into(sc, pos, ~pos, out=sc)
+    return _bce_grad_into(sc, np.flatnonzero(y > 0), out=sc)
 
 
 def bce_loss_grad(y, s) -> tuple[np.ndarray, np.ndarray]:
     """``(bce_loss(y, s), bce_grad(y, s))``, bit for bit, from one clamped
-    copy of the scores and one label mask: the loss goes into a new array,
-    then the gradient over the clamped copy."""
+    copy of the scores and one list of the positives: the loss goes into a
+    new array, then the gradient over the clamped copy."""
     y, sc = _clamped_pair(y, s)
-    pos = y > 0
-    neg = ~pos
-    loss = _bce_loss_into(sc, pos, neg, out=np.empty_like(sc))
-    return loss, _bce_grad_into(sc, pos, neg, out=sc)
+    pos = np.flatnonzero(y > 0)
+    loss = _bce_loss_into(sc, pos, out=np.empty_like(sc))
+    return loss, _bce_grad_into(sc, pos, out=sc)
 
 
-def focal_loss(y, s, gamma: float) -> np.ndarray:
-    """Focal surface (1-p_t)^gamma * (-ln p_t), p_t the true-class score.
+def focal_loss(y, s, gamma: float, out=None) -> np.ndarray:
+    """Focal surface (1-p_t)^gamma * (-ln p_t), p_t the true-class score,
+    written into ``out`` when it is given (an array of the scores' shape).
 
     gamma=0 reduces exactly to bce_loss.
     """
     check_gamma(gamma)
-    y, pt = _clamped_pair(y, s)
+    y, pt = _clamped_pair(y, s, out)
     np.subtract(1.0, pt, out=pt, where=~(y > 0))
-    out = 1.0 - pt
-    out **= gamma
+    factor = 1.0 - pt
+    factor **= gamma
     np.log(pt, out=pt)
     np.negative(pt, out=pt)
-    out *= pt
-    return out
+    return np.multiply(factor, pt, out=pt)
 
 
 def focal_grad(y, s, gamma: float) -> np.ndarray:

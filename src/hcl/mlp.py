@@ -189,24 +189,29 @@ def _sigmoid(z):
     """Logistic sigmoid written into ``z`` (a float64 array), which it returns.
 
     Row blocks of ``losses._BLOCK_ROWS`` (``losses._row_blocks``) keep the
-    scratch small. Per block: ``e = exp(-|z|)`` (abs, negate, exp into the
-    scratch), ``num = where(z >= 0, 1, e)``, ``e += 1``, then
-    ``z = num / e``. ``-|z|`` is ``-z`` when z >= 0 and ``z`` otherwise, so
-    each branch runs the same operations on the same values as the stable
-    two-branch form, ``1 / (1 + exp(-z))`` for z >= 0 and
-    ``exp(z) / (1 + exp(z))`` below (``e + 1`` equals ``1 + e``), and gives
-    the same bits; ``exp`` never overflows. NaN takes the z < 0 branch and
-    stays NaN, though its sign bit may differ from the two-branch form's.
+    two scratch arrays small. Per block: ``e = exp(-|z|)`` (abs, negate,
+    exp into one scratch), ``num = max(z >= 0, e)`` (the comparison written
+    as 1.0 or 0.0 into the other), ``e += 1``, then ``z = num / e``.
+    ``-|z|`` is ``-z`` when z >= 0 and ``z`` otherwise. e lies in [0, 1]
+    when z >= 0, so num is exactly 1.0 there; below, e >= +0 beats the 0.0
+    and num is e, with no ``np.where``. Each branch thus runs the same
+    operations on the same values as the stable two-branch form,
+    ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` below
+    (``e + 1`` equals ``1 + e``), and gives the same bits; ``exp`` never
+    overflows. NaN takes the z < 0 branch and stays NaN, though its sign
+    bit may differ from the two-branch form's.
     """
     blocks = losses._row_blocks(len(z), losses._BLOCK_ROWS)
     e_buf = np.empty_like(z[blocks[-1]])  # the last block is the longest
+    num_buf = np.empty_like(e_buf)
     for rows in blocks:
         zb = z[rows]
-        e = e_buf[:len(zb)]
+        e, num = e_buf[:len(zb)], num_buf[:len(zb)]
         np.abs(zb, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        num = np.where(zb >= 0, 1.0, e)
+        np.greater_equal(zb, 0.0, out=num)
+        np.maximum(num, e, out=num)
         np.add(e, 1.0, out=e)
         np.divide(num, e, out=zb)
     return z
@@ -303,7 +308,8 @@ def backward(params: MlpParams, cache: ForwardCache, dscores, grads: MlpParams) 
         for rows in losses._row_blocks(len(cache.x)):
             _hidden_block(params, cache.x[rows], None if cache.mask is None else cache.mask[rows],
                           cache.scale, hidden[rows])
-    dz2 = dscores * cache.scores * (1.0 - cache.scores)
+    dz2 = dscores * cache.scores
+    dz2 *= 1.0 - cache.scores
     np.matmul(hidden.T, dz2, out=grads.W2)
     dz2.sum(axis=0, out=grads.b2)
     dhidden = dz2 @ params.W2.T

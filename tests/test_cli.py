@@ -231,6 +231,32 @@ def test_ablation_drops_each_arm_before_the_next_one_trains(monkeypatch):
     assert arms == list(cli.ABLATION_ARMS) and len(live) == 2
 
 
+def test_ablate_refuses_a_loss_from_the_command_line(tmp_path, monkeypatch, capsys):
+    trained = []
+
+    def record_mode(d, tax, tc):
+        trained.append(tc.loss_mode)
+        raise mlp.TrainingDiverged("stop after recording the mode")
+
+    monkeypatch.setattr(mlp, "train", record_mode)
+    out = tmp_path / "r"
+    # the arms set the loss mode, so ablate offers no --loss flag ...
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ablate", "--out", str(out), *TINY, "--loss", "focal"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # ... and a loss given with --set is one error line before any training
+    assert cli.main(["ablate", "--out", str(out), *TINY, "--set", "loss=focal"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "loss cannot be set" in err
+    assert not out.exists() and trained == []
+    # a config file shared with train may still name a loss; the arms ignore it
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("loss = focal\n")
+    assert cli.main(["ablate", "--out", str(out), "--config", str(cfg), *TINY]) == 1
+    assert trained == [cli.ABLATION_ARMS[0]]
+
+
 def test_verify_reports_all_properties_hold(capsys):
     rc = cli.main(["verify", "--trials", "40"])
     assert rc == 0

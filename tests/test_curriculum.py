@@ -1,5 +1,6 @@
 """Class-selection objective, fast selection rule, and the exhaustive oracle."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcl import losses, verify
+from hcl import curriculum, data, losses, mlp, verify
 from hcl.curriculum import (
     RULE_FIXED_THRESHOLD,
     RULE_OPTIMAL_PREFIX,
@@ -161,6 +162,90 @@ def test_selection_achieves_exhaustive_optimum(seed):
     s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     _, best = brute_force_select(agg)
     assert curriculum_objective(s, agg) == pytest.approx(best, abs=1e-9)
+
+
+def _size_objectives(L, e_total):
+    """Per K, the smallest objective over the selections of K classes.
+
+    Among them the smallest sum of L is the sum of the K smallest L (swap
+    any selected class for a cheaper unselected one), which one
+    ``np.partition`` per K gives with no stable sort; ``math.fsum`` adds
+    them exactly rounded. O(C^2), for any C."""
+    c = len(L)
+    sums = [0.0] + [math.fsum(np.partition(L, k - 1)[:k]) for k in range(1, c + 1)]
+    return np.maximum(sums, c - np.arange(c + 1) + e_total)
+
+
+def _certify_selection(agg, s, value, tol=1e-9):
+    """``s`` holds K smallest losses, K the largest size whose objective is
+    the minimum, and ``value`` is that minimum, within ``tol`` relative."""
+    L, k = agg.L, int(s.sum())
+    objective = _size_objectives(L, agg.e_h_total)
+    best = objective.min()
+    slack = tol * max(1.0, abs(best))
+    assert abs(value - best) <= slack
+    assert objective[k] <= best + slack and (objective[k + 1:] > best + slack).all()
+    if 0 < k < len(L):
+        assert L[s == 1].max() <= L[s == 0].min()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_selection_matches_the_partition_oracle_at_any_c(seed):
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 300))
+    kind = int(rng.integers(3))
+    if kind == 0:  # small integers: many exact ties between sizes
+        L = rng.integers(0, 4, size=c).astype(np.float64)
+    elif kind == 1:  # quarters, exact in any order
+        L = rng.integers(0, 40, size=c) / 4.0
+    else:
+        L = rng.uniform(0.0, 3.0, size=c)
+    agg = agg_of(L, float(rng.integers(0, 2 * c + 1)))
+    s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
+    _certify_selection(agg, s, curriculum_objective(s, agg))
+
+
+def test_partition_oracle_takes_the_largest_size_on_ties():
+    # K = 1 and K = 2 both reach 2.0, so both classes are selected
+    agg = agg_of([1.0, 1.0], 1.0)
+    assert _size_objectives(agg.L, agg.e_h_total).tolist() == [3.0, 2.0, 2.0]
+    s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
+    _certify_selection(agg, s, curriculum_objective(s, agg))
+    with pytest.raises(AssertionError):
+        _certify_selection(agg, np.array([1.0, 0.0]), 2.0)
+
+
+@pytest.mark.parametrize("scope", losses.SCOPES)
+def test_every_epoch_of_a_wide_training_selects_the_oracle_optimum(scope, monkeypatch):
+    """A short training on the 584-class taxonomy (levels=4, branching=8):
+    each epoch's selection and logged loss against the partition oracle."""
+    d = data.split(data.synth_generate(data.SynthConfig(
+        levels=4, branching=8, examples_per_leaf=10, feature_dim=16, seed=5)), seed=5)
+    d, _ = data.normalize(d)
+    assert d.taxonomy.n_classes == 584
+    passes = []  # [aggregate, value, selection] per epoch-end pass
+    select, full_pass = curriculum.select_classes, curriculum.hcl_loss
+
+    def spy_select(agg, *args, **kwargs):
+        passes.append([agg])
+        return select(agg, *args, **kwargs)
+
+    def spy_pass(*args, **kwargs):
+        value, s = full_pass(*args, **kwargs)
+        passes[-1] += [value, s]
+        return value, s
+
+    monkeypatch.setattr(curriculum, "select_classes", spy_select)
+    monkeypatch.setattr(curriculum, "hcl_loss", spy_pass)
+    cfg = TrainConfig(hidden_width=16, epochs=3, seed=5, transform_scope=scope)
+    _, log = mlp.train(d, d.taxonomy, cfg)
+    assert len(passes) == len(log) == 3
+    n_train = len(d.indices("train"))
+    for (agg, value, s), entry in zip(passes, log):
+        _certify_selection(agg, s, value)
+        assert np.array_equal(entry.selected, s) and entry.loss == value / n_train
+    assert any(0 < entry.selected.sum() < 584 for entry in log)  # a real choice
 
 
 @settings(max_examples=80, deadline=None)

@@ -703,6 +703,118 @@ def test_bce_loss_and_grad_match_two_branch_where_on_edge_scores(n):
     assert _same_bits(scores, before)  # read, never written
 
 
+# one surface's values in C order and in other memory layouts; the bce
+# kernels overwrite the positives by flat C-order position, which a copy
+# made in the input's order would lose
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "column-strided": lambda a: a[:, ::2],
+    "row-strided": lambda a: a[::3],
+    "reversed": lambda a: a[::-1, ::-1],
+}
+
+
+def _kernel_labels(rng, shape):
+    """Sparse {-1, +1} labels with a row of no positive, a row of only
+    positives, and 0 and NaN entries in the other rows."""
+    y = rng.choice([-1.0, 1.0], size=shape, p=(0.9, 0.1))
+    y[:1], y[1:2] = -1.0, 1.0
+    rest = y[2:]
+    rest[rng.random(rest.shape) < 0.05] = 0.0
+    rest[rng.random(rest.shape) < 0.05] = np.nan
+    return y
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_bce_kernels_match_slow_reference_in_every_memory_layout(layout):
+    rng = np.random.default_rng(7)
+    shape = (2 * BLOCK + 5, 37)
+    scores = _edge_scores(rng, shape)
+    scores[0, :4] = scores[1, :4] = (0.0, 1.0, losses.LOG_EPS, np.nan)  # in the edge rows too
+    y_all = _kernel_labels(rng, shape)
+    s = LAYOUTS[layout](scores)
+    for y in (LAYOUTS[layout](y_all), np.ascontiguousarray(LAYOUTS[layout](y_all)),
+              LAYOUTS[layout](np.sign(np.nan_to_num(y_all, nan=-1.0)).astype(np.int8))):
+        loss_ref, grad_ref = slow_bce_loss(y, s), slow_bce_grad(y, s)
+        assert _same_bits(losses.bce_loss(y, s), loss_ref)
+        assert _same_bits(losses.bce_grad(y, s), grad_ref)
+        loss, grad = losses.bce_loss_grad(y, s)
+        assert _same_bits(loss, loss_ref) and _same_bits(grad, grad_ref)
+        out = np.full(s.shape, np.nan)
+        assert losses.bce_loss(y, s, out=out) is out and _same_bits(out, loss_ref)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_sigmoid_matches_slow_reference_in_every_memory_layout(layout):
+    rng = np.random.default_rng(8)
+    z = rng.normal(scale=20.0, size=(2 * BLOCK + 5, 37))
+    z.reshape(-1)[:8] = (0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, -744.5, np.nan)
+    view = LAYOUTS[layout](z.copy())
+    ref = slow_sigmoid(np.array(view))
+    assert mlp._sigmoid(view) is view  # written through the view
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(view), nan) and _same_bits(view[~nan], ref[~nan])
+
+
+def _error_rows(rng, y, scores):
+    """Scores that miss no label in about a third of the rows, and every
+    label in another third, so the count sees rows with no error."""
+    kind = rng.integers(3, size=len(y))  # 0: no error, 1: every label missed, 2: as drawn
+    y[kind < 2] = np.where(y[kind < 2] > 0, 1.0, -1.0)  # no 0 or NaN label
+    hit = np.where(y > 0, 0.9, 0.1)
+    scores[kind == 0] = hit[kind == 0]
+    scores[kind == 1] = 1.0 - hit[kind == 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_error_count_matches_slow_reference_on_random_taxonomies(seed):
+    """The all-shallower count of transformed 0-1 errors, which skips the
+    bool transform, against ``slow_hcl_loss``'s e_total, on random forests
+    and on one-level taxonomies."""
+    rng = np.random.default_rng(seed)
+    tax = verify.random_taxonomy(rng)
+    if rng.random() < 0.2:
+        tax = parse_hierarchy([str(k) for k in range(int(rng.integers(1, 9)))])
+    n = int(rng.integers(1, 3 * losses._PASS_ROWS))
+    y = _kernel_labels(rng, (n, tax.n_classes))
+    scores = _edge_scores(rng, y.shape)
+    _error_rows(rng, y, scores)
+    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+        spec = curriculum.LossSpec(scope=scope)
+        e_total = slow_hcl_loss(y, scores, tax, spec)[1]
+        errors = losses.zero_one_errors(y, scores, spec.decision_threshold)
+        assert curriculum._error_count(errors, tax, spec) == e_total
+
+
+@pytest.mark.parametrize("mode", curriculum.LOSS_MODES)
+def test_buffered_pass_on_a_longest_merged_last_block(mode, monkeypatch):
+    """Blocks of 256 and 511 rows share the pass's one base-loss buffer,
+    sized by the last; the scores are read, never written."""
+    tax = EPOCH_END_TAXONOMIES[584]
+    r = losses._PASS_ROWS
+    n = 3 * r - 1
+    blocks = slow_row_blocks(n)
+    assert [b.stop - b.start for b in blocks] == [r, 2 * r - 1]
+    rng = np.random.default_rng(11)
+    y = _kernel_labels(rng, (n, tax.n_classes))
+    scores = _edge_scores(rng, y.shape)
+    scores.flags.writeable = False
+    seen = _capture_aggregates(monkeypatch)
+    for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
+        spec = replace(curriculum.LOSS_PRESETS[mode], scope=scope)
+        L, e_total, s_ref, value_ref = slow_hcl_loss(y, scores, tax, spec)
+        for form in (scores, _blocks_in_one_buffer(scores, blocks)):
+            value, s = curriculum.hcl_loss(y, form, tax, spec)
+            assert _same_bits(value, value_ref) and np.array_equal(s, s_ref)
+            if spec.curriculum:
+                agg = seen.pop()
+                finite = ~np.isnan(L)
+                assert agg.e_h_total == e_total and np.array_equal(agg.L, L, equal_nan=True)
+                assert _same_bits(agg.L[finite], L[finite])
+
+
 def _nan_tie_surface(rng, n, c):
     """A tie-prone surface, with NaN planted half of the time."""
     base = verify.random_surface(rng, n, c)

@@ -70,7 +70,8 @@ REFERENCES = {
     "slow_focal_grad": ["losses.focal_grad"],
     "slow_zero_one_loss": ["losses.zero_one_errors"],
     "slow_select": ["curriculum.select_classes"],
-    "slow_hcl_loss": ["curriculum.hcl_loss", "curriculum.curriculum_objective"],
+    "slow_hcl_loss": ["curriculum.hcl_loss", "curriculum.curriculum_objective",
+                      "curriculum._error_count"],
     "slow_hcl_grad": ["curriculum.hcl_grad"],
     "slow_optimizer_step": ["mlp._Optimizer.step"],
     "slow_sigmoid": ["mlp._sigmoid"],
