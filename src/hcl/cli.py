@@ -135,7 +135,8 @@ def resolve_config(config_path=None, overrides=None) -> dict:
 def emit_config(cfg: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in CONFIG_SPEC:
-            fh.write(f"{key} = {cfg[key]}\n")
+            if key in cfg:
+                fh.write(f"{key} = {cfg[key]}\n")
 
 
 def _collect_overrides(args) -> list[tuple[str, str]]:
@@ -258,7 +259,9 @@ def _start_run(args, command: str):
     d = build_dataset(cfg)
     tc = train_config(cfg)
     run_dir = make_run_dir(args.out, command, tc.seed)
-    emit_config(cfg, os.path.join(run_dir, "config.resolved.cfg"))
+    # an ablate's arms set their own loss mode, so its record names none
+    emit_config({key: v for key, v in cfg.items() if command == "train" or key != "loss"},
+                os.path.join(run_dir, "config.resolved.cfg"))
     return cfg, d, tc, run_dir
 
 
@@ -369,7 +372,8 @@ def ablation_reports(d: data.Dataset, tc: mlp.TrainConfig, leaves_only: bool = F
 
 
 def cmd_ablate(args) -> int:
-    # the arms fix the loss mode; a config file's loss key, shared with train, is ignored
+    # the arms fix the loss mode; a config file shared with train may name a loss,
+    # which the arms ignore and the resolved config leaves out
     if any(key == "loss" for key, _ in _collect_overrides(args)):
         raise UsageError(f"ablate trains the arms {', '.join(ABLATION_ARMS)}; loss cannot be set")
     cfg, d, tc, run_dir = _start_run(args, "ablate")  # one dataset and split for every arm

@@ -49,8 +49,8 @@ routes by and the gradient from one clamped copy (a focal spec clamps in
 each base function). The selection holds only 0.0 and 1.0, checked on
 entry, so the weight routed to base element (i, k) is the number of
 selected j with ``routing[i, j] == k``: one ``bincount`` over the selected
-columns of the routing, or over the whole routing, with no gather, when
-every class is selected (all of epoch 1). A sum of ones is exact in any
+columns of the routing, gathered with ``compress``, which keeps them
+C-ordered where a mask index would not. A sum of ones is exact in any
 order, so it has the bits of ``losses.hier_transform_backward`` of the
 broadcast selection. The batch still takes that routing from
 ``losses.hier_transform``.
@@ -321,8 +321,7 @@ def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
         loss, grad = loss_fn(y, scores), grad_fn(y, scores)
     _, routing = losses.hier_transform(loss, taxonomy, scope=spec.scope)
     n = len(routing)
-    # every class: no gather; compress keeps C order, which a mask index does not
-    flat = routing if s.all() else routing.compress(s == 1.0, axis=1)
+    flat = routing.compress(s == 1.0, axis=1)  # C-ordered, unlike routing[:, s == 1.0]
     flat += (np.arange(n) * c)[:, None]
     grad *= np.bincount(flat.ravel(), minlength=n * c).reshape(n, c)
     return grad

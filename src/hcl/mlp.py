@@ -189,9 +189,10 @@ def _sigmoid(z):
     """Logistic sigmoid written into ``z`` (a float64 array), which it returns.
 
     Row blocks of ``losses._BLOCK_ROWS`` (``losses._row_blocks``) keep the
-    two scratch arrays small. Per block: ``e = exp(-|z|)`` (abs, negate,
-    exp into one scratch), ``num = max(z >= 0, e)`` (the comparison written
-    as 1.0 or 0.0 into the other), ``e += 1``, then ``z = num / e``.
+    scratch small. Per block: ``e = exp(-|z|)`` (abs, negate, exp into the
+    scratch), ``num = max(z >= 0, e)`` (the comparison written as 1.0 or
+    0.0 over z, which nothing reads after it), ``e += 1``, then
+    ``z = num / e``.
     ``-|z|`` is ``-z`` when z >= 0 and ``z`` otherwise. e lies in [0, 1]
     when z >= 0, so num is exactly 1.0 there; below, e >= +0 beats the 0.0
     and num is e, with no ``np.where``. Each branch thus runs the same
@@ -203,17 +204,16 @@ def _sigmoid(z):
     """
     blocks = losses._row_blocks(len(z), losses._BLOCK_ROWS)
     e_buf = np.empty_like(z[blocks[-1]])  # the last block is the longest
-    num_buf = np.empty_like(e_buf)
     for rows in blocks:
         zb = z[rows]
-        e, num = e_buf[:len(zb)], num_buf[:len(zb)]
+        e = e_buf[:len(zb)]
         np.abs(zb, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        np.greater_equal(zb, 0.0, out=num)
-        np.maximum(num, e, out=num)
+        np.greater_equal(zb, 0.0, out=zb)
+        np.maximum(zb, e, out=zb)
         np.add(e, 1.0, out=e)
-        np.divide(num, e, out=zb)
+        np.divide(zb, e, out=zb)
     return z
 
 

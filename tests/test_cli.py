@@ -250,11 +250,14 @@ def test_ablate_refuses_a_loss_from_the_command_line(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "loss cannot be set" in err
     assert not out.exists() and trained == []
-    # a config file shared with train may still name a loss; the arms ignore it
+    # a config file shared with train may still name a loss; the arms ignore
+    # it, and the run's resolved config does not record it
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("loss = focal\n")
+    cfg.write_text("loss = focal\ndropout = 0.125\n")
     assert cli.main(["ablate", "--out", str(out), "--config", str(cfg), *TINY]) == 1
     assert trained == [cli.ABLATION_ARMS[0]]
+    resolved = (out / "config.resolved.cfg").read_text()
+    assert "loss" not in resolved and "dropout = 0.125\n" in resolved
 
 
 def test_verify_reports_all_properties_hold(capsys):
