@@ -29,31 +29,26 @@ scores are live either); each block is folded into the sums before the next
 is drawn. Per block: the base loss, written into one block-sized buffer
 made once per pass (the last block is the longest), the transform in place
 without routing (``losses.hier_transform_in_place``), the column sums, and
-a count of the (transformed) bool 0-1 surface of
-``losses.zero_one_errors`` rather than a sum of a float one. Under the
-all-shallower scope the count needs no transform (``_error_count``): per
-row and level it adds the level's width once a shallower level holds an
-error, and the level's own errors otherwise. numpy sums a C-contiguous
-surface of several columns over axis 0 row by row, in order; adding the
-running sums into a block's first row before summing the block continues
-that order, so L has the bits of the whole surface's column sums.
+a count of the (transformed, in place) bool 0-1 surface of
+``losses.zero_one_errors`` rather than a sum of a float one. numpy sums a
+C-contiguous surface of several columns over axis 0 row by row, in order;
+adding the running sums into a block's first row before summing the block
+continues that order, so L has the bits of the whole surface's column sums.
 Everything else reads one row at a time, so the pass gives the same bits as
 ``hier_transform`` followed by ``aggregate_class_losses`` over the whole
 surface, the reference that ``verify`` uses: a count of at most 2^53
 errors converts to the float sum of zeros and ones exactly. A spec without
 the curriculum skips the 0-1 count and logs the sum of L.
 
-The batch path, ``hcl_grad``, clips the raw scores once for a bce spec with
-the transform: ``losses.bce_loss_grad`` gives the loss that the transform
-routes by and the gradient from one clamped copy (a focal spec clamps in
-each base function). The selection holds only 0.0 and 1.0, checked on
-entry, so the weight routed to base element (i, k) is the number of
-selected j with ``routing[i, j] == k``: one ``bincount`` over the selected
-columns of the routing, gathered with ``compress``, which keeps them
-C-ordered where a mask index would not. A sum of ones is exact in any
-order, so it has the bits of ``losses.hier_transform_backward`` of the
-broadcast selection. The batch still takes that routing from
-``losses.hier_transform``.
+The batch path, ``hcl_grad``, calls the spec's base loss, which the
+transform routes by, and its gradient; each clamps the raw scores itself.
+The selection holds only 0.0 and 1.0, checked on entry, so the weight
+routed to base element (i, k) is the number of selected j with
+``routing[i, j] == k``: one ``bincount`` over the selected columns of the
+routing, gathered with ``compress``, which keeps them C-ordered where a
+mask index would not. A sum of ones is exact in any order, so it has the
+bits of ``losses.hier_transform_backward`` of the broadcast selection. The
+batch still takes that routing from ``losses.hier_transform``.
 """
 
 from __future__ import annotations
@@ -171,13 +166,10 @@ def select_classes(agg: ClassLossAggregate, rule: str, thresh: float | None) -> 
         s[order[:k_best]] = 1.0
         return s
     # fixed-threshold
-    psum = np.cumsum(L[order])
-    k_cross = n_classes + 1  # if the condition never trips: keep everything
-    for k in range(1, n_classes + 1):
-        if psum[k - 1] > thresh + 1 - k:
-            k_cross = k
-            break
-    s[order[: k_cross - 1]] = 1.0
+    # trips[K - 1]: prefixSum(K) > thresh + 1 - K; the ranks below the first K are selected
+    trips = np.cumsum(L[order]) > thresh + 1 - np.arange(1, n_classes + 1)
+    k_cross = np.argmax(trips) if trips.any() else n_classes
+    s[order[:k_cross]] = 1.0
     return s
 
 
@@ -270,31 +262,14 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
             surface.sum(axis=0, out=L)
         if spec.curriculum:
             errors = losses.zero_one_errors(y[rows], block, spec.decision_threshold)
-            e_total += _error_count(errors, taxonomy, spec)
+            if spec.transform:
+                losses.hier_transform_in_place(errors, taxonomy, spec.scope)
+            e_total += np.count_nonzero(errors)
     if not spec.curriculum:
         return float(L.sum()), np.ones(taxonomy.n_classes)
     agg = ClassLossAggregate(L=L, e_h_total=float(e_total))
     s = select_classes(agg, rule=spec.rule, thresh=spec.thresh)
     return curriculum_objective(s, agg), s
-
-
-def _error_count(errors, taxonomy: Taxonomy, spec: LossSpec) -> int:
-    """The number of errors on the spec's (transformed) bool 0-1 surface.
-
-    All-shallower: a row's class at a level is an error once a shallower
-    level of the row holds one, so per row and level this adds the level's
-    width after the row's first error and the level's own count otherwise.
-    Ancestors-only transforms the surface in place and counts it."""
-    if spec.transform and spec.scope == losses.SCOPE_ALL_SHALLOWER:
-        count, seen = 0, np.zeros(len(errors), dtype=bool)
-        for ids in taxonomy.levels_index[1:]:
-            per_row = np.count_nonzero(errors[:, ids], axis=1)
-            count += len(ids) * int(np.count_nonzero(seen)) + int(per_row[~seen].sum())
-            seen |= per_row > 0
-        return count
-    if spec.transform:
-        losses.hier_transform_in_place(errors, taxonomy, spec.scope)
-    return int(np.count_nonzero(errors))
 
 
 def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
@@ -315,11 +290,8 @@ def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
         grad = grad_fn(y, scores)
         grad *= s
         return grad
-    if spec.base == "bce":
-        loss, grad = losses.bce_loss_grad(y, scores)
-    else:
-        loss, grad = loss_fn(y, scores), grad_fn(y, scores)
-    _, routing = losses.hier_transform(loss, taxonomy, scope=spec.scope)
+    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=spec.scope)
+    grad = grad_fn(y, scores)
     n = len(routing)
     flat = routing.compress(s == 1.0, axis=1)  # C-ordered, unlike routing[:, s == 1.0]
     flat += (np.arange(n) * c)[:, None]

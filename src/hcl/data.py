@@ -245,6 +245,8 @@ def split(d: Dataset, ratios=SPLIT_RATIOS, seed: int = 0) -> Dataset:
         raise ValueError(f"need three positive finite ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got sum {sum(ratios)}")
+    if seed < 0:
+        raise ValueError(f"split seed must be >= 0, got {seed}")
     n = d.n_examples
     targets = _largest_remainder(n, ratios)
     if any(t == 0 for t in targets):
@@ -335,6 +337,8 @@ class SynthConfig:
             )
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError(f"label_noise must lie in [0, 0.5), got {self.label_noise}")
+        if self.seed < 0:
+            raise ValueError(f"data seed must be >= 0, got {self.seed}")
 
 
 def synth_generate(cfg: SynthConfig) -> Dataset:

@@ -34,12 +34,11 @@ the bits of the general ones:
   passes one per pass. ``focal_loss`` writes over its copy the same way
   and keeps one more block-sized array, the factor ``(1-p_t)^gamma``.
 
-The batch gradient (``curriculum.hcl_grad``) needs both the bce loss, which
-the transform routes by, and the bce gradient. ``bce_loss_grad`` gives the
-two from one clamped copy and one list of the positives, with the bits of
-the two functions. The routing sweeps do their id arithmetic in the narrowest
-signed integer type that holds C (``_id_dtype``; int16 at C=584), selecting
-with mask arithmetic rather than ``np.where``, and write int64 routing. The
+The batch gradient (``curriculum.hcl_grad``) calls the base loss, which
+the transform routes by, and the base gradient, each on its own clamped
+copy. The routing sweeps do their id arithmetic in the narrowest signed
+integer type that holds C (``_id_dtype``; int16 at C=584), selecting with
+mask arithmetic rather than ``np.where``, and write int64 routing. The
 routing array stays, though the batch reads no transformed value: each base
 element's weight is a count of the selected classes routed to it, one
 ``bincount`` over the routing, and the routing is what a traced run reads
@@ -124,50 +123,29 @@ def _clamped_pair(y, s, out=None):
     return y, np.clip(s, LOG_EPS, 1.0 - LOG_EPS, out=np.empty(s.shape) if out is None else out)
 
 
-def _bce_loss_into(sc, pos, out):
-    """The bce loss of the clamped scores ``sc`` into ``out`` (which may be
-    ``sc``): the y <= 0 branch over every element, then the logs of the
-    positives (flat C-order ids ``pos``) put over their places."""
-    at_pos = np.log(np.take(sc, pos))
-    np.negative(sc, out=out)
-    np.log1p(out, out=out)
-    np.put(out, pos, at_pos)
-    return np.negative(out, out=out)
-
-
-def _bce_grad_into(sc, pos, out):
-    """The bce gradient of ``sc`` into ``out`` (which may be ``sc``), as
-    ``_bce_loss_into`` does: the positives are read before any write."""
-    at_pos = np.divide(-1.0, np.take(sc, pos))
-    np.subtract(1.0, sc, out=out)
-    np.divide(1.0, out, out=out)
-    np.put(out, pos, at_pos)
-    return out
-
-
 def bce_loss(y, s, out=None) -> np.ndarray:
     """Binary cross entropy per element, scores clamped to [eps, 1-eps]:
     ``-log(sc)`` where y > 0, ``-log1p(-sc)`` elsewhere. Written into
     ``out`` when it is given (an array of the scores' shape)."""
     y, sc = _clamped_pair(y, s, out)
-    return _bce_loss_into(sc, np.flatnonzero(y > 0), out=sc)
+    pos = np.flatnonzero(y > 0)
+    at_pos = np.log(np.take(sc, pos))
+    np.negative(sc, out=sc)
+    np.log1p(sc, out=sc)
+    np.put(sc, pos, at_pos)
+    return np.negative(sc, out=sc)
 
 
 def bce_grad(y, s) -> np.ndarray:
     """d(bce)/d(score) per element, evaluated on the clamped score:
     ``-1 / sc`` where y > 0, ``1 / (1 - sc)`` elsewhere."""
     y, sc = _clamped_pair(y, s)
-    return _bce_grad_into(sc, np.flatnonzero(y > 0), out=sc)
-
-
-def bce_loss_grad(y, s) -> tuple[np.ndarray, np.ndarray]:
-    """``(bce_loss(y, s), bce_grad(y, s))``, bit for bit, from one clamped
-    copy of the scores and one list of the positives: the loss goes into a
-    new array, then the gradient over the clamped copy."""
-    y, sc = _clamped_pair(y, s)
     pos = np.flatnonzero(y > 0)
-    loss = _bce_loss_into(sc, pos, out=np.empty_like(sc))
-    return loss, _bce_grad_into(sc, pos, out=sc)
+    at_pos = np.divide(-1.0, np.take(sc, pos))
+    np.subtract(1.0, sc, out=sc)
+    np.divide(1.0, sc, out=sc)
+    np.put(sc, pos, at_pos)
+    return sc
 
 
 def focal_loss(y, s, gamma: float, out=None) -> np.ndarray:
@@ -191,11 +169,9 @@ def focal_grad(y, s, gamma: float) -> np.ndarray:
     check_gamma(gamma)
     y, sc = _clamped_pair(y, s)
     pt = np.where(y > 0, sc, 1.0 - sc)
-    # d/dp [(1-p)^g * (-ln p)] = g (1-p)^(g-1) ln p - (1-p)^g / p
-    if gamma == 0.0:
-        dpt = -1.0 / pt
-    else:
-        dpt = gamma * (1.0 - pt) ** (gamma - 1.0) * np.log(pt) - (1.0 - pt) ** gamma / pt
+    # d/dp [(1-p)^g * (-ln p)] = g (1-p)^(g-1) ln p - (1-p)^g / p; at g = 0
+    # the first term is -0.0, so the sum has the bits of -1/p
+    dpt = gamma * (1.0 - pt) ** (gamma - 1.0) * np.log(pt) - (1.0 - pt) ** gamma / pt
     return np.where(y > 0, dpt, -dpt)
 
 

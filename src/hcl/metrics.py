@@ -127,15 +127,10 @@ def _miss_ranks(y, scores, miss) -> np.ndarray:
 
 def evaluate(
     y, scores, taxonomy: Taxonomy, leaves_only: bool = False, per_example: bool = False,
-    *, _labels_checked: bool = False,
 ) -> EvalReport:
-    """Compute all metrics in one ranking pass.
-
-    ``_labels_checked`` is for a caller that has already passed ``y``
-    through ``check_label_matrix`` (``mlp.train``, once per run rather than
-    once per epoch); every other caller gets the check."""
-    if not _labels_checked:
-        y = check_label_matrix(y, taxonomy)
+    """Compute all metrics in one ranking pass, after checking ``y`` with
+    ``check_label_matrix``."""
+    y = check_label_matrix(y, taxonomy)
     if len(y) == 0:
         raise ValueError("cannot evaluate a label matrix with no rows")
     scores = np.asarray(scores, dtype=np.float64)

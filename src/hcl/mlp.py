@@ -123,6 +123,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss_mode not in curriculum.LOSS_MODES:
@@ -402,7 +404,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
     y_tr = dataset.labels[idx_train]
     x_va = dataset.features[idx_valid]
     y_va = dataset.labels[idx_valid]
-    # checked once here: the per-epoch evaluation skips the check
+    # checked here so that bad labels fail before epoch 1
     losses.check_label_matrix(y_tr, taxonomy)
     losses.check_label_matrix(y_va, taxonomy)
 
@@ -449,8 +451,7 @@ def train(dataset: Dataset, taxonomy: Taxonomy, cfg: TrainConfig):
                 f"non-finite training loss {train_loss!r} at epoch {epoch} "
                 f"(loss_mode={cfg.loss_mode}, lr={cfg.learning_rate})"
             )
-        report = metrics.evaluate(y_va, forward(params, x_va)[0], taxonomy,
-                                  _labels_checked=True)
+        report = metrics.evaluate(y_va, forward(params, x_va)[0], taxonomy)
         log.append(EpochLog(
             epoch=epoch,
             loss=train_loss,

@@ -37,13 +37,16 @@ The references, each with the fast path it checks:
   ``losses.hier_transform_backward``.
 - ``slow_bce_loss``, ``slow_bce_grad``, ``slow_focal_loss`` and
   ``slow_focal_grad``: two-branch ``np.where`` forms that evaluate both
-  branches on every element; the base losses and their gradients.
+  branches on every element; ``losses.bce_loss``, ``bce_grad``,
+  ``focal_loss`` and ``focal_grad``, each called on its own.
 - ``slow_zero_one_loss``: the float 0-1 surface; ``losses.zero_one_errors``.
 - ``slow_select``: a per-K loop over the stable sort, with prefix sums added
   one class at a time (the bits of ``np.cumsum``);
-  ``curriculum.select_classes``.
+  ``curriculum.select_classes``, whose rules compare every K at once.
 - ``slow_hcl_loss``: a spec's epoch-end pass over the whole surface, with no
-  row blocks; ``curriculum.hcl_loss`` and ``curriculum_objective``.
+  row blocks, summing the (transformed) float 0-1 surface where
+  ``curriculum.hcl_loss`` counts the bool one under either scope;
+  ``hcl_loss`` and ``curriculum_objective``.
 - ``slow_hcl_grad``: the batch gradient from the slow base functions, the
   slow transform's routing and the scatter; ``curriculum.hcl_grad``.
 - ``SLOW_MODES``: each loss mode's base loss and switches, the first three

@@ -371,6 +371,9 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     ("selection_thresh=-inf", "selection thresh must be finite, got -inf"),
     ("selection_thresh=abc", "config key 'selection_thresh': expected float, got 'abc'"),
     ("selection_thresh=5", "selection thresh 5.0 is read only by the fixed-threshold rule"),
+    ("seed=-1", "error: seed must be >= 0, got -1"),
+    ("data_seed=-1", "data seed must be >= 0, got -1"),
+    ("split_seed=-1", "split seed must be >= 0, got -1"),
 ])
 def test_bad_config_value_exits_2_before_training(tmp_path, monkeypatch, capsys,
                                                   override, message, command):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hcl import curriculum, losses, metrics, mlp
+from hcl import curriculum, losses, mlp
 from hcl.curriculum import LOSS_MODES
 from hcl.data import Dataset, SynthConfig, normalize, split, synth_generate
 from hcl.mlp import (
@@ -354,38 +354,34 @@ def test_train_rejects_labels_that_are_not_ancestor_closed(split_name):
         train(bad, bad.taxonomy, TrainConfig(hidden_width=4, epochs=1))
 
 
-def test_train_checks_the_labels_once_not_every_epoch(monkeypatch):
-    d = tiny_dataset()
-    calls, check = [], losses.check_label_matrix
-
-    def counted(y, taxonomy):
-        calls.append(len(y))
-        return check(y, taxonomy)
-
-    monkeypatch.setattr(mlp.losses, "check_label_matrix", counted)
-    monkeypatch.setattr(metrics, "check_label_matrix", counted)
-    train(d, d.taxonomy, TrainConfig(hidden_width=4, epochs=3))
-    assert sorted(calls) == sorted([len(d.indices("train")), len(d.indices("valid"))])
-
-
 @pytest.mark.parametrize("scope", losses.SCOPES)
 def test_train_takes_one_routing_per_batch(scope, monkeypatch):
     """The batch gradient of a transform mode routes through one
     ``losses.hier_transform`` call per batch, and the epoch-end pass through
-    none: a traced run reads the share of routed elements from that call."""
+    none: a traced run reads the share of routed elements from that call.
+    Each batch also takes one ``losses.bce_loss`` and one ``losses.bce_grad``
+    call, the calls a traced run times as the bce span; the epoch-end pass
+    takes one ``bce_loss`` per row block."""
     d = tiny_dataset()
-    calls, transform = [], losses.hier_transform
+    calls = {"hier_transform": [], "bce_loss": [], "bce_grad": []}
 
-    def counted(base, taxonomy, scope=losses.SCOPE_ALL_SHALLOWER):
-        calls.append(len(base))
-        return transform(base, taxonomy, scope)
+    def counted(name):
+        fn = getattr(losses, name)
 
-    monkeypatch.setattr(losses, "hier_transform", counted)
+        def wrapper(*args, **kwargs):
+            calls[name].append(len(args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(losses, name, counted(name))
     cfg = TrainConfig(hidden_width=4, epochs=3, batch_size=16, transform_scope=scope)
     train(d, d.taxonomy, cfg)
     n = len(d.indices("train"))
     batches = [min(16, n - start) for start in range(0, n, 16)]
-    assert calls == batches * cfg.epochs
+    blocks = [rows.stop - rows.start for rows in losses._row_blocks(n)]
+    assert calls["hier_transform"] == calls["bce_grad"] == batches * cfg.epochs
+    assert calls["bce_loss"] == (batches + blocks) * cfg.epochs
 
 
 def test_training_peak_memory_does_not_grow_after_the_first_epoch():

@@ -64,14 +64,13 @@ REFERENCES = {
                            "losses.hier_transform", "losses.hier_transform_in_place"],
     "slow_ancestors_only": ["losses._ancestors_sweep"],
     "slow_backward": ["losses.hier_transform_backward"],
-    "slow_bce_loss": ["losses._bce_loss_into", "losses.bce_loss", "losses.bce_loss_grad"],
-    "slow_bce_grad": ["losses._bce_grad_into", "losses.bce_grad"],
+    "slow_bce_loss": ["losses.bce_loss"],
+    "slow_bce_grad": ["losses.bce_grad"],
     "slow_focal_loss": ["losses.focal_loss"],
     "slow_focal_grad": ["losses.focal_grad"],
     "slow_zero_one_loss": ["losses.zero_one_errors"],
     "slow_select": ["curriculum.select_classes"],
-    "slow_hcl_loss": ["curriculum.hcl_loss", "curriculum.curriculum_objective",
-                      "curriculum._error_count"],
+    "slow_hcl_loss": ["curriculum.hcl_loss", "curriculum.curriculum_objective"],
     "slow_hcl_grad": ["curriculum.hcl_grad"],
     "slow_optimizer_step": ["mlp._Optimizer.step"],
     "slow_sigmoid": ["mlp._sigmoid"],
