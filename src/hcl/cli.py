@@ -213,7 +213,7 @@ def make_run_dir(out: str | None, command: str, seed: int) -> str:
 def _dataset_name(cfg: dict) -> str:
     if cfg["data"] == "synth":
         return "synthetic"
-    path = cfg["data_dir"] or cfg["arff_path"]
+    path = cfg["data_dir"] if cfg["data"] == "native" else cfg["arff_path"]
     return os.path.splitext(os.path.basename(os.path.normpath(path)))[0]
 
 

@@ -168,9 +168,10 @@ def parse_arff_hmc(path) -> Dataset:
     return _labelled_dataset(features, row_paths(), taxonomy)
 
 
-def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
-    """Assemble a dataset from the three native files."""
-    taxonomy = load_hierarchy_file(hierarchy_file)
+def load_native_dir(directory) -> Dataset:
+    """Assemble a dataset from the three native files in ``directory``."""
+    taxonomy = load_hierarchy_file(os.path.join(directory, "hierarchy.txt"))
+    features_csv = os.path.join(directory, "features.csv")
     with open(features_csv, encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
@@ -186,7 +187,7 @@ def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
                 f"but the first row has {len(values[0])}"
             )
     features = np.array(values, dtype=np.float64)
-    with open(labels_file, encoding="utf-8") as fh:
+    with open(os.path.join(directory, "labels.txt"), encoding="utf-8") as fh:
         label_lines = [line.rstrip("\n") for line in fh]
     while label_lines and label_lines[-1] == "":
         label_lines.pop()
@@ -203,14 +204,6 @@ def parse_native(features_csv, labels_file, hierarchy_file) -> Dataset:
             yield paths
 
     return _labelled_dataset(features, row_paths(), taxonomy)
-
-
-def load_native_dir(directory) -> Dataset:
-    return parse_native(
-        os.path.join(directory, "features.csv"),
-        os.path.join(directory, "labels.txt"),
-        os.path.join(directory, "hierarchy.txt"),
-    )
 
 
 def emit_native(d: Dataset, directory) -> None:

@@ -44,7 +44,7 @@ those take the NaN-skipping form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class EvalReport:
     mrr: float
     hier_dist: float
     n_examples: int = 0
-    per_example: list | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         """Percentage-scaled hit/MRR and raw-mean distance, two decimals."""
@@ -125,9 +124,7 @@ def _miss_ranks(y, scores, miss) -> np.ndarray:
     return first
 
 
-def evaluate(
-    y, scores, taxonomy: Taxonomy, leaves_only: bool = False, per_example: bool = False,
-) -> EvalReport:
+def evaluate(y, scores, taxonomy: Taxonomy, leaves_only: bool = False) -> EvalReport:
     """Compute all metrics in one ranking pass, after checking ``y`` with
     ``check_label_matrix``."""
     y = check_label_matrix(y, taxonomy)
@@ -158,16 +155,9 @@ def evaluate(
     depth = ((y[miss[:, None], path] == 1) & (path != VIRTUAL_ROOT)).sum(axis=1)
     deepest = path[np.arange(len(miss)), np.maximum(depth - 1, 0)]
     dist[miss] = np.where(depth > 0, taxonomy.heights[deepest], taxonomy.max_level)
-    rows = None
-    if per_example:
-        rows = [
-            (taxonomy.class_names[int(t)], int(f), float(d))
-            for t, f, d in zip(top1, first, dist)
-        ]
     return EvalReport(
         hit_at_1=float(hits.mean()),
         mrr=float(rr.mean()),
         hier_dist=float(dist.mean()),
         n_examples=len(y),
-        per_example=rows,
     )

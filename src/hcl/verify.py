@@ -357,6 +357,8 @@ def check_gradients(trials: int, seed: int) -> CheckResult:
 def run_all(trials: int, seed: int) -> list[CheckResult]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     grad_trials = max(1, min(trials, 20))
     return [
         check_lambda(trials, seed),

@@ -469,8 +469,9 @@ def slow_rank_order(scores):
 
 
 def slow_evaluate_loops(y, scores, tax, leaves_only):
-    """``(hit@1, mrr, hierdist, n_examples, per-example rows)`` by the
-    retired per-example ranking and LCA loops."""
+    """``(hit@1, mrr, hierdist, n_examples, rows)`` by the retired
+    per-example ranking and LCA loops; a row is the example's 1-based rank
+    of its first positive (0 for none) and its distance."""
     tree = tree_from_names(tax.class_names)
     cand = slow_leaf_ids(tree) if leaves_only else np.arange(tax.n_classes)
     ranked = cand[slow_rank_order(scores[:, cand])]
@@ -489,7 +490,7 @@ def slow_evaluate_loops(y, scores, tax, leaves_only):
                           for a in lcas)
     hits = (y[np.arange(len(y)), top1] == 1).astype(np.float64)
     rr = np.where(first > 0, 1.0 / np.maximum(first, 1), 0.0)
-    rows = [(tax.class_names[int(t)], int(f), float(d)) for t, f, d in zip(top1, first, dist)]
+    rows = [(int(f), float(d)) for f, d in zip(first, dist)]
     return float(hits.mean()), float(rr.mean()), float(dist.mean()), len(y), rows
 
 

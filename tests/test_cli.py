@@ -357,6 +357,21 @@ def test_bare_arff_attribute_line_is_a_one_line_error(tmp_path, capsys):
     assert "attribute line needs a name and a type: '@attribute'" in err
 
 
+def test_report_names_the_dataset_of_the_source_read(tmp_path):
+    """An ARFF run is named after its file even when the config also sets
+    the native source's data_dir."""
+    src = tmp_path / "ci.arff"
+    rows = [f"{i % 2 + 0.1 * i},{i % 3},{'a/x' if i % 2 else 'b'}" for i in range(12)]
+    src.write_text("@relation ci\n@attribute f1 numeric\n@attribute f2 numeric\n"
+                   "@attribute class hierarchical a,a/x,b\n@data\n" + "\n".join(rows) + "\n")
+    run = tmp_path / "run"
+    assert cli.main([
+        "train", "--out", str(run), "--epochs", "1", "--set", "data=arff",
+        "--set", f"arff_path={src}", "--set", f"data_dir={tmp_path / 'other'}",
+    ]) == 0
+    assert json.loads((run / "report.json").read_text())["dataset"] == "ci"
+
+
 # both commands open a run through one prologue that checks every value
 # before it makes the run directory
 @pytest.mark.parametrize("command", ("train", "ablate"))

@@ -11,7 +11,6 @@ from hcl.data import (
     load_native_dir,
     normalize,
     parse_arff_hmc,
-    parse_native,
     split,
     synth_generate,
     validate_dataset,
@@ -170,14 +169,6 @@ def test_native_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.features, src.features)
     assert np.array_equal(back.labels, src.labels)
     assert back.taxonomy.class_names == src.taxonomy.class_names
-
-
-def test_parse_native_direct_paths(tmp_path):
-    native_dir(tmp_path)
-    d = parse_native(
-        tmp_path / "features.csv", tmp_path / "labels.txt", tmp_path / "hierarchy.txt"
-    )
-    assert d.n_examples == 3
 
 
 def test_arff_and_native_files_with_the_same_rows_load_alike(tmp_path):

@@ -1107,9 +1107,15 @@ def _scores_with_top(rng, y, want_hit):
 
 
 def _check_evaluate(y, scores, tax, leaves_only):
-    report = metrics.evaluate(y, scores, tax, leaves_only=leaves_only, per_example=True)
-    got = (report.hit_at_1, report.mrr, report.hier_dist, report.n_examples, report.per_example)
-    assert got == slow_evaluate_loops(y, scores, tax, leaves_only)
+    """``evaluate`` agrees with the slow loops on the whole matrix, and on
+    each row alone with that row's first-positive rank and distance."""
+    report = metrics.evaluate(y, scores, tax, leaves_only=leaves_only)
+    *want, rows = slow_evaluate_loops(y, scores, tax, leaves_only)
+    assert [report.hit_at_1, report.mrr, report.hier_dist, report.n_examples] == want
+    for i, (first, dist) in enumerate(rows):
+        one = metrics.evaluate(y[i:i + 1], scores[i:i + 1], tax, leaves_only=leaves_only)
+        want_row = (first == 1, 1.0 / first if first else 0.0, dist)
+        assert (one.hit_at_1, one.mrr, one.hier_dist) == want_row
     return report
 
 
@@ -1139,7 +1145,6 @@ def test_evaluate_leaves_only_without_a_positive_leaf(seed):
     scores = rng.choice([np.nan, 0.0, 0.25, 0.5, 1.0], size=y.shape)
     report = _check_evaluate(y, scores, tax, leaves_only=True)
     assert report.hit_at_1 == report.mrr == 0.0
-    assert [first for _, first, _ in report.per_example] == [0] * n
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ def ranks(scores):
     tax = parse_hierarchy([f"k{j}" for j in range(c)])
     y = -np.ones((c, c))
     np.fill_diagonal(y, 1.0)
-    rows = evaluate(y, np.tile(scores, (c, 1)), tax, per_example=True).per_example
-    return [first for _, first, _ in rows]
+    return [round(1.0 / evaluate(y[j:j + 1], scores[None, :], tax).mrr) for j in range(c)]
 
 
 def test_rank_descending_scores():
@@ -145,11 +144,11 @@ def test_report_consistency_and_invariants(rng, height4_forest):
                           tax.class_names)
     s = rng.uniform(0.0, 1.0, size=y.shape)
     rep = evaluate(y, s, tax)
-    # the means agree with the per-example rows of the same pass
-    rows = evaluate(y, s, tax, per_example=True).per_example
-    assert rep.hit_at_1 == np.mean([first == 1 for _, first, _ in rows])
-    assert rep.mrr == np.mean([1.0 / first for _, first, _ in rows])
-    assert rep.hier_dist == np.mean([dist for _, _, dist in rows])
+    # the means agree with the rows evaluated one at a time
+    rows = [evaluate(y[i:i + 1], s[i:i + 1], tax) for i in range(len(y))]
+    assert rep.hit_at_1 == np.mean([r.hit_at_1 for r in rows])
+    assert rep.mrr == np.mean([r.mrr for r in rows])
+    assert rep.hier_dist == np.mean([r.hier_dist for r in rows])
     assert 0.0 <= rep.hit_at_1 <= 1.0
     assert 0.0 < rep.mrr <= 1.0
     assert rep.hit_at_1 <= rep.mrr
@@ -179,14 +178,12 @@ def test_metrics_depend_only_on_score_order(seed):
         assert rep.hier_dist == base.hier_dist
 
 
-def test_per_example_rows(abc_taxonomy):
+def test_one_row_rank_and_distance(abc_taxonomy):
     y = labels_for(abc_taxonomy, [["A", "A/B"]])
-    s = np.array([[0.3, 0.2, 0.9]])
-    rep = evaluate(y, s, abc_taxonomy, per_example=True)
-    name, first_rank, dist = rep.per_example[0]
-    assert name == "A/C"
-    assert first_rank == 2
-    assert dist == 1.0
+    s = np.array([[0.3, 0.2, 0.9]])  # A/C on top, the positive A second
+    rep = evaluate(y, s, abc_taxonomy)
+    assert 1.0 / rep.mrr == 2
+    assert rep.hier_dist == 1.0
 
 
 def test_leaves_only_restricts_candidates(abc_taxonomy):

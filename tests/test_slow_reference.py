@@ -105,7 +105,7 @@ NO_FAST_PATH = {
     # file readers and writers, checked against hand-written files
     "mlp.save_checkpoint", "mlp.load_checkpoint", "taxonomy.Taxonomy.to_file",
     "taxonomy.load_hierarchy_file", "data._labelled_dataset", "data.parse_arff_hmc",
-    "data.parse_native", "data.load_native_dir",
+    "data.load_native_dir",
 }
 
 

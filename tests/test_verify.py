@@ -30,6 +30,11 @@ def test_run_all_rejects_nonpositive_trials():
         run_all(trials=0, seed=0)
 
 
+def test_run_all_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_all(trials=1, seed=-1)
+
+
 def test_random_taxonomy_is_valid():
     for seed in range(30):
         t = random_taxonomy(np.random.default_rng(seed))
