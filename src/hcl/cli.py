@@ -109,7 +109,7 @@ def _check_key(key: str) -> str:
 def parse_config_file(path) -> dict:
     """Flat key = value lines; blank lines and # comments are skipped."""
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

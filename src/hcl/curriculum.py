@@ -35,10 +35,11 @@ C-contiguous surface of several columns over axis 0 row by row, in order;
 adding the running sums into a block's first row before summing the block
 continues that order, so L has the bits of the whole surface's column sums.
 Everything else reads one row at a time, so the pass gives the same bits as
-``hier_transform`` followed by ``aggregate_class_losses`` over the whole
-surface, the reference that ``verify`` uses: a count of at most 2^53
-errors converts to the float sum of zeros and ones exactly. A spec without
-the curriculum skips the 0-1 count and logs the sum of L.
+``hier_transform`` followed by column sums over the whole surface (L is
+``lh.sum(axis=0)`` and e_total is ``float(eh.sum())`` of the two
+transformed surfaces), the reference that ``verify`` uses: a count of at
+most 2^53 errors converts to the float sum of zeros and ones exactly. A
+spec without the curriculum skips the 0-1 count and logs the sum of L.
 
 The batch path, ``hcl_grad``, calls the spec's base loss, which the
 transform routes by, and its gradient; each clamps the raw scores itself.
@@ -72,15 +73,6 @@ class ClassLossAggregate:
 
     L: np.ndarray  # length C, per-class aggregated transformed base loss
     e_h_total: float  # total transformed 0-1 loss
-
-
-def aggregate_class_losses(lh, e_h) -> ClassLossAggregate:
-    """Aggregate per-class sums of lh and the grand total of e_h."""
-    lh = np.asarray(lh, dtype=np.float64)
-    e_h = np.asarray(e_h, dtype=np.float64)
-    if lh.shape != e_h.shape or lh.ndim != 2:
-        raise ValueError(f"surface shape mismatch: {lh.shape} vs {e_h.shape}")
-    return ClassLossAggregate(L=lh.sum(axis=0), e_h_total=float(e_h.sum()))
 
 
 def curriculum_objective(s, agg: ClassLossAggregate) -> float:

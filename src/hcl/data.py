@@ -103,7 +103,7 @@ def parse_arff_hmc(path) -> Dataset:
     class_domain: list[str] | None = None
     data_rows: list[str] = []
     in_data = False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -172,7 +172,7 @@ def load_native_dir(directory) -> Dataset:
     """Assemble a dataset from the three native files in ``directory``."""
     taxonomy = load_hierarchy_file(os.path.join(directory, "hierarchy.txt"))
     features_csv = os.path.join(directory, "features.csv")
-    with open(features_csv, encoding="utf-8") as fh:
+    with open(features_csv, encoding="utf-8-sig") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
         raise ValueError(f"{features_csv}: no feature rows")
@@ -187,7 +187,7 @@ def load_native_dir(directory) -> Dataset:
                 f"but the first row has {len(values[0])}"
             )
     features = np.array(values, dtype=np.float64)
-    with open(os.path.join(directory, "labels.txt"), encoding="utf-8") as fh:
+    with open(os.path.join(directory, "labels.txt"), encoding="utf-8-sig") as fh:
         label_lines = [line.rstrip("\n") for line in fh]
     while label_lines and label_lines[-1] == "":
         label_lines.pop()

@@ -166,9 +166,6 @@ class MlpParams:
         self.W2 = self.flat[w2_at:b2_at].reshape(h, c)
         self.b2 = self.flat[b2_at:]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.flat.copy(), self.dims)
-
 
 def init_params(n_features: int, hidden_width: int, n_classes: int, seed: int) -> MlpParams:
     """Uniform(-sqrt(6/fan_in), sqrt(6/fan_in)) weights, zero biases."""

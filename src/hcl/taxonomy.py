@@ -149,7 +149,7 @@ def parse_hierarchy(paths) -> Taxonomy:
 def load_hierarchy_file(path) -> Taxonomy:
     """Read a hierarchy text file: one path per line, '#' comments ignored."""
     paths = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):

@@ -1,15 +1,17 @@
 """Randomized verification of the transform and selection guarantees.
 
-Each check draws fresh (hierarchy, loss-surface) instances from a seeded
-generator and asserts the corresponding guarantee exactly (or at the stated
-tolerance), returning a counterexample payload on the first violation:
+Each check is one per-trial function run by one shared loop,
+``_run_trials``: every trial draws a fresh (hierarchy, loss-surface)
+instance from the check's seeded generator and asserts the corresponding
+guarantee exactly (or at the stated tolerance), and the first trial that
+returns a counterexample payload ends the check as a failure:
 
 * level-monotonicity of the transformed surface (both scopes),
 * the element-wise bound chain base <= transformed <= g for generated
   level-monotone dominating surfaces g,
 * the objective sandwich between total 0-1 loss and total transformed loss,
-* equality of prefix selection with the exhaustive 2^C oracle, plus the
-  disagreement rate of the fixed-threshold rule,
+* equality of prefix selection with the exhaustive 2^C oracle, plus (when
+  it holds) the disagreement rate of the fixed-threshold rule,
 * finite-difference agreement of the loss and pipeline gradients, the
   pipeline under both transform scopes.
 
@@ -98,50 +100,53 @@ def _chain_violation(surface, tax: Taxonomy):
     return None
 
 
-def _instance_payload(tax, base, i, extra=None):
-    payload = {
+def _instance_payload(tax, base, i, extra):
+    return {
         "hierarchy": list(tax.class_names),
         "example": i,
         "base_row": [float(v) for v in base[i]],
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    return payload
+
+
+def _run_trials(name: str, trials: int, seed: int, trial) -> CheckResult:
+    """Run ``trial(rng, info)`` ``trials`` times on one seeded generator,
+    ``info`` being the result's dict; the first counterexample a trial
+    returns (``None`` means it passed) ends the check as a failure."""
+    rng = np.random.default_rng(seed)
+    res = CheckResult(name, trials)
+    for _ in range(trials):
+        counterexample = trial(rng, res.info)
+        if counterexample is not None:
+            res.failures += 1
+            res.counterexample = counterexample
+            break
+    return res
 
 
 def check_lambda(trials: int, seed: int, transform=losses.hier_transform) -> CheckResult:
     """Transformed surfaces are level-monotone: fully under all-shallower,
     along ancestor chains under ancestors-only."""
-    rng = np.random.default_rng(seed)
-    res = CheckResult("lambda-monotonicity", trials)
-    for _ in range(trials):
+
+    def trial(rng, info):
         tax = random_taxonomy(rng)
         base = random_surface(rng, int(rng.integers(1, 51)), tax.n_classes)
-        out_all, _ = transform(base, tax, losses.SCOPE_ALL_SHALLOWER)
-        hit = _lambda_violation(out_all, tax)
-        if hit is not None:
-            i, c1, c2 = hit
-            res.failures += 1
-            res.counterexample = _instance_payload(tax, base, i, {
-                "scope": losses.SCOPE_ALL_SHALLOWER,
-                "deeper_class": tax.class_names[c1],
-                "shallower_class": tax.class_names[c2],
-                "transformed_row": [float(v) for v in out_all[i]],
-            })
-            return res
-        out_anc, _ = transform(base, tax, losses.SCOPE_ANCESTORS_ONLY)
-        hit = _chain_violation(out_anc, tax)
-        if hit is not None:
-            i, c, p = hit
-            res.failures += 1
-            res.counterexample = _instance_payload(tax, base, i, {
-                "scope": losses.SCOPE_ANCESTORS_ONLY,
-                "child": tax.class_names[c],
-                "parent": tax.class_names[p],
-                "transformed_row": [float(v) for v in out_anc[i]],
-            })
-            return res
-    return res
+        for scope, violation, lower_key, upper_key in (
+            (losses.SCOPE_ALL_SHALLOWER, _lambda_violation, "deeper_class", "shallower_class"),
+            (losses.SCOPE_ANCESTORS_ONLY, _chain_violation, "child", "parent"),
+        ):
+            out, _ = transform(base, tax, scope)
+            hit = violation(out, tax)
+            if hit is not None:
+                i, lower, upper = hit
+                return _instance_payload(tax, base, i, {
+                    "scope": scope,
+                    lower_key: tax.class_names[lower],
+                    upper_key: tax.class_names[upper],
+                    "transformed_row": [float(v) for v in out[i]],
+                })
+
+    return _run_trials("lambda-monotonicity", trials, seed, trial)
 
 
 def dominating_monotone_surface(rng, transformed, tax: Taxonomy) -> np.ndarray:
@@ -173,34 +178,30 @@ def _min_level_dominator(base, tax: Taxonomy) -> np.ndarray:
 def check_bound_chain(trials: int, seed: int, transform=losses.hier_transform) -> CheckResult:
     """base <= transformed element-wise, and transformed <= g for generated
     level-monotone g >= base (tightness)."""
-    rng = np.random.default_rng(seed)
-    res = CheckResult("bound-chain-tightness", trials)
-    for _ in range(trials):
+
+    def trial(rng, info):
         tax = random_taxonomy(rng)
         base = random_surface(rng, int(rng.integers(1, 51)), tax.n_classes)
         out, _ = transform(base, tax, losses.SCOPE_ALL_SHALLOWER)
         if (out < base).any():
             i, j = np.argwhere(out < base)[0]
-            res.failures += 1
-            res.counterexample = _instance_payload(tax, base, int(i), {
+            return _instance_payload(tax, base, int(i), {
                 "below_base_class": tax.class_names[int(j)],
                 "transformed_row": [float(v) for v in out[int(i)]],
             })
-            return res
         envelope = _min_level_dominator(base, tax)
         for _ in range(DOMINATORS_PER_TRIAL):
             g = dominating_monotone_surface(rng, envelope, tax)
             assert _lambda_violation(g, tax) is None and (g >= base).all()
             if (out > g).any():
                 i, j = np.argwhere(out > g)[0]
-                res.failures += 1
-                res.counterexample = _instance_payload(tax, base, int(i), {
+                return _instance_payload(tax, base, int(i), {
                     "above_dominator_class": tax.class_names[int(j)],
                     "dominator_row": [float(v) for v in g[int(i)]],
                 })
-                return res
-            res.info["dominators_checked"] = res.info.get("dominators_checked", 0) + 1
-    return res
+            info["dominators_checked"] = info.get("dominators_checked", 0) + 1
+
+    return _run_trials("bound-chain-tightness", trials, seed, trial)
 
 
 def check_sandwich(trials: int, seed: int, tol: float = 1e-9) -> CheckResult:
@@ -210,41 +211,39 @@ def check_sandwich(trials: int, seed: int, tol: float = 1e-9) -> CheckResult:
     Base surfaces are drawn to dominate their 0-1 surface element-wise;
     the upper bound requires that premise (the lower one holds always).
     """
-    rng = np.random.default_rng(seed)
-    res = CheckResult("objective-sandwich", trials)
     spec = curriculum.LossSpec()
-    for _ in range(trials):
+
+    def trial(rng, info):
         tax = random_taxonomy(rng)
         n = int(rng.integers(1, 51))
         e01 = rng.integers(0, 2, size=(n, tax.n_classes)).astype(np.float64)
         base = e01 + rng.uniform(0.0, 2.0, size=e01.shape)
         lh, _ = losses.hier_transform(base, tax)
         eh, _ = losses.hier_transform(e01, tax)
-        agg = curriculum.aggregate_class_losses(lh, eh)
+        agg = curriculum.ClassLossAggregate(L=lh.sum(axis=0), e_h_total=float(eh.sum()))
         s = curriculum.select_classes(agg, spec.rule, spec.thresh)
         value = curriculum.curriculum_objective(s, agg)
-        lo, hi = float(eh.sum()), float(lh.sum())
+        lo, hi = agg.e_h_total, float(lh.sum())
         if not (lo - tol <= value <= hi + tol):
-            res.failures += 1
-            res.counterexample = {
+            return {
                 "hierarchy": list(tax.class_names),
                 "zero_one_transformed_total": lo,
                 "objective": value,
                 "transformed_total": hi,
             }
-            return res
-    return res
+
+    return _run_trials("objective-sandwich", trials, seed, trial)
 
 
 def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
                            select=curriculum.select_classes) -> CheckResult:
-    """Prefix selection achieves the exhaustive 2^C optimum; also records
-    how often the simpler fixed-threshold rule misses it."""
-    rng = np.random.default_rng(seed)
-    res = CheckResult("selection-oracle", trials)
+    """Prefix selection achieves the exhaustive 2^C optimum; a passing check
+    also records how often the simpler fixed-threshold rule misses it."""
     spec = curriculum.LossSpec()
     threshold_misses = 0
-    for _ in range(trials):
+
+    def trial(rng, info):
+        nonlocal threshold_misses
         c = int(rng.integers(1, 13))
         if rng.random() < 0.3:
             big_l = rng.integers(0, 6, size=c).astype(np.float64)  # tie-prone
@@ -256,15 +255,13 @@ def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
         fast_val = curriculum.curriculum_objective(s_fast, agg)
         _, oracle_val = curriculum.brute_force_select(agg)
         if abs(fast_val - oracle_val) > tol:
-            res.failures += 1
-            res.counterexample = {
+            return {
                 "L": [float(v) for v in big_l],
                 "e_h_total": e_total,
                 "fast_value": fast_val,
                 "oracle_value": oracle_val,
                 "selection": [int(v) for v in s_fast],
             }
-            return res
         # fixed-threshold rule, with thresh aligned so its condition reads
         # prefixSum(K) > C - K + e_total
         s_thr = curriculum.select_classes(
@@ -273,7 +270,10 @@ def check_selection_oracle(trials: int, seed: int, tol: float = 1e-9,
         thr_val = curriculum.curriculum_objective(s_thr, agg)
         if abs(thr_val - oracle_val) > tol:
             threshold_misses += 1
-    res.info["threshold_rule_disagreement_rate"] = threshold_misses / max(trials, 1)
+
+    res = _run_trials("selection-oracle", trials, seed, trial)
+    if res.ok:
+        res.info["threshold_rule_disagreement_rate"] = threshold_misses / max(trials, 1)
     return res
 
 
@@ -314,9 +314,8 @@ def _tie_free_scores(rng, y, shape, margin=1e-3, attempts=50):
 def check_gradients(trials: int, seed: int) -> CheckResult:
     """bce, focal(2) and frozen-selection pipeline gradients (both transform
     scopes) vs central FD."""
-    rng = np.random.default_rng(seed)
-    res = CheckResult("gradient-fd", trials)
-    for _ in range(trials):
+
+    def trial(rng, info):
         tax = random_taxonomy(rng, max_classes=6, max_depth=3)
         n, c = int(rng.integers(2, 5)), tax.n_classes
         y = np.where(rng.random((n, c)) < 0.5, -1.0, 1.0)
@@ -342,16 +341,15 @@ def check_gradients(trials: int, seed: int) -> CheckResult:
 
         for name, (f, analytic) in checks.items():
             err = max_rel_err(analytic, _fd_grad(f, scores))
-            res.info[name] = max(res.info.get(name, 0.0), err)
+            info[name] = max(info.get(name, 0.0), err)
             if err >= GRAD_RTOL:
-                res.failures += 1
-                res.counterexample = {
+                return {
                     "check": name,
                     "max_rel_err": err,
                     "hierarchy": list(tax.class_names),
                 }
-                return res
-    return res
+
+    return _run_trials("gradient-fd", trials, seed, trial)
 
 
 def run_all(trials: int, seed: int) -> list[CheckResult]:

@@ -227,8 +227,9 @@ def test_training_is_bytewise_deterministic(acceptance_log, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(argv + ["--out", str(a)]) == 0
     assert cli.main(argv + ["--out", str(b)]) == 0
-    ok = filecmp.cmp(a / "metrics.jsonl", b / "metrics.jsonl", shallow=False)
+    ok = all(filecmp.cmp(a / name, b / name, shallow=False)
+             for name in ("metrics.jsonl", "checkpoint.bin"))
     assert _record(
         acceptance_log, ok, "determinism",
-        "two identical train commands wrote byte-identical metrics logs",
+        "two identical train commands wrote byte-identical metrics logs and checkpoints",
     )

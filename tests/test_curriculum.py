@@ -13,7 +13,6 @@ from hcl.curriculum import (
     RULE_FIXED_THRESHOLD,
     RULE_OPTIMAL_PREFIX,
     ClassLossAggregate,
-    aggregate_class_losses,
     brute_force_select,
     curriculum_objective,
     LOSS_MODES,
@@ -30,35 +29,6 @@ from slow_reference import slow_close_labels, slow_hcl_grad, slow_hcl_loss
 
 def agg_of(L, e_total):
     return ClassLossAggregate(L=np.asarray(L, dtype=np.float64), e_h_total=float(e_total))
-
-
-# ---------------------------------------------------------------------------
-# aggregation
-# ---------------------------------------------------------------------------
-
-
-def test_aggregate_zeros():
-    agg = aggregate_class_losses(np.zeros((3, 4)), np.zeros((3, 4)))
-    assert np.array_equal(agg.L, np.zeros(4))
-    assert agg.e_h_total == 0.0
-
-
-def test_aggregate_column_sum():
-    lh = np.zeros((2, 3))
-    lh[:, 1] = [0.2, 0.3]
-    agg = aggregate_class_losses(lh, np.zeros((2, 3)))
-    assert agg.L[1] == pytest.approx(0.5)
-
-
-def test_aggregate_counts_zero_one_total():
-    e = np.zeros((2, 3))
-    e[0, 0] = e[0, 2] = e[1, 1] = 1.0
-    assert aggregate_class_losses(np.zeros((2, 3)), e).e_h_total == 3.0
-
-
-def test_aggregate_shape_mismatch():
-    with pytest.raises(ValueError):
-        aggregate_class_losses(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +368,7 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
     base = e01 + rng.uniform(0.0, 1.0, size=e01.shape)  # dominates 0-1
     lh, _ = losses.hier_transform(base, tax)
     eh, _ = losses.hier_transform(e01, tax)
-    agg = aggregate_class_losses(lh, eh)
+    agg = agg_of(lh.sum(axis=0), eh.sum())
     s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     value = curriculum_objective(s, agg)
     assert eh.sum() - 1e-9 <= value <= lh.sum() + 1e-9

@@ -161,7 +161,7 @@ def test_optimizer_step_matches_allocating_reference(optimizer, chunk, monkeypat
     rng = np.random.default_rng(7)
     cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=3e-3, hidden_width=9)
     params = mlp.init_params(5, 9, 4, seed=3)
-    ref = params.copy()
+    ref = mlp.MlpParams(params.flat.copy(), params.dims)
     opt = mlp._Optimizer(cfg, params)
     state = {"m": [np.zeros_like(a) for a in views(ref)],
              "v": [np.zeros_like(a) for a in views(ref)], "t": 0}

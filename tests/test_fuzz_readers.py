@@ -93,6 +93,33 @@ def test_unmutated_files_load(scratch, checkpoint):
     assert mlp.load_checkpoint(scratch / "copy.bin").dims == (2, 3, 2)
 
 
+def same_dataset(a, b):
+    return (np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+            and a.taxonomy.class_names == b.taxonomy.class_names)
+
+
+# every text fixture, by its path under a fixture root
+TEXT_FIXTURES = {"demo.arff": ARFF, "run.cfg": CONFIG,
+                 **{f"native/{name}": text for name, text in NATIVE.items()}}
+
+
+@pytest.mark.parametrize("bom_file", sorted(TEXT_FIXTURES))
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, bom_file):
+    """With ``bom_file`` saved behind a UTF-8 byte-order mark, every reader
+    returns what it returns for the plain copy."""
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    for root in (plain, bom):
+        (root / "native").mkdir(parents=True)
+        for name, text in TEXT_FIXTURES.items():
+            mark = "\ufeff" if root == bom and name == bom_file else ""
+            (root / name).write_text(mark + text, encoding="utf-8")
+    assert same_dataset(data.parse_arff_hmc(bom / "demo.arff"),
+                        data.parse_arff_hmc(plain / "demo.arff"))
+    assert cli.parse_config_file(bom / "run.cfg") == cli.parse_config_file(plain / "run.cfg")
+    assert same_dataset(data.load_native_dir(bom / "native"),
+                        data.load_native_dir(plain / "native"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=mutated(ARFF))
 def test_fuzzed_arff_loads_or_raises_value_error(scratch, text):

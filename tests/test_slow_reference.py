@@ -96,10 +96,10 @@ NO_FAST_PATH = {
     "taxonomy.Taxonomy.n_classes", "taxonomy.Taxonomy._name_to_id",
     "taxonomy.Taxonomy.id_of", "taxonomy.Taxonomy._check_id", "data.validate_dataset",
     "data.Dataset.n_examples", "data.Dataset.n_features", "data.Dataset.indices",
-    # the plain forms the checks and the oracle are built from
-    "curriculum.aggregate_class_losses", "curriculum.brute_force_select",
+    # the exhaustive oracle that selection is checked against
+    "curriculum.brute_force_select",
     # initialisation, splits, normalisation, logs and reports
-    "mlp.init_params", "mlp.MlpParams.copy", "mlp.EpochLog.jsonl_dict",
+    "mlp.init_params", "mlp.EpochLog.jsonl_dict",
     "metrics.EvalReport.to_json_dict", "data.split", "data._largest_remainder",
     "data.normalize",
     # file readers and writers, checked against hand-written files
