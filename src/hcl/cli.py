@@ -13,7 +13,9 @@ The environment variable HCL_RUN_DIR overrides the default run-output root.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -236,6 +238,31 @@ def _selection_history(log, tax: Taxonomy) -> list[dict]:
     return history
 
 
+def openblas_core() -> str:
+    """Core name of the OpenBLAS that numpy's linear algebra runs, or "unknown"."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its symbols include its libraries'
+    names = [p + "get_corename" + s for p in ("scipy_openblas_", "openblas_") for s in ("64_", "")]
+    fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if fn is None:
+        return "unknown"
+    fn.restype = ctypes.c_char_p
+    return fn().decode()
+
+
+def _provenance(checkpoint: str) -> dict:
+    """Where a train run's bits came from: numpy, the BLAS it was built with
+    and the OpenBLAS core it runs, and the digest of the checkpoint."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.25 only prints its config
+        blas = {}
+    with open(checkpoint, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    blas = {key: blas.get(key, "unknown") for key in ("name", "version")}
+    return {"numpy_version": np.__version__, "checkpoint_sha256": digest,
+            "blas": {**blas, "core": openblas_core()}}
+
+
 def _write_metrics_jsonl(log, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for entry in log:
@@ -272,7 +299,8 @@ def cmd_train(args) -> int:
     params, log = mlp.train(d, d.taxonomy, tc)
     duration = time.perf_counter() - start
 
-    mlp.save_checkpoint(os.path.join(run_dir, "checkpoint.bin"), params)
+    checkpoint = os.path.join(run_dir, "checkpoint.bin")
+    mlp.save_checkpoint(checkpoint, params)
     _write_metrics_jsonl(log, os.path.join(run_dir, "metrics.jsonl"))
 
     finals = {name: _score(params, d, d.indices(name), cfg["leaves_only"])
@@ -286,6 +314,7 @@ def cmd_train(args) -> int:
         "epochs": [entry.jsonl_dict() for entry in log],
         "selection_history": _selection_history(log, d.taxonomy),
         "final": {name: rep.to_json_dict() for name, rep in finals.items()},
+        **_provenance(checkpoint),
     }
     _write_json(record, os.path.join(run_dir, "report.json"))
 

@@ -27,8 +27,8 @@ live. The scores come as the N x C array or as an iterator of those row
 blocks (``mlp.train`` scores the train split block by block, so no N x C
 scores are live either); each block is folded into the sums before the next
 is drawn. Per block: the base loss, written into one block-sized buffer
-made once per pass (the last block is the longest), the transform in place
-without routing (``losses.hier_transform_in_place``), the column sums, and
+made once per pass (the last block is the longest), the transform written
+over it (``losses.hier_transform(..., out=surface)``), the column sums, and
 a count of the (transformed, in place) bool 0-1 surface of
 ``losses.zero_one_errors`` rather than a sum of a float one. numpy sums a
 C-contiguous surface of several columns over axis 0 row by row, in order;
@@ -41,15 +41,16 @@ transformed surfaces), the reference that ``verify`` uses: a count of at
 most 2^53 errors converts to the float sum of zeros and ones exactly. A
 spec without the curriculum skips the 0-1 count and logs the sum of L.
 
-The batch path, ``hcl_grad``, calls the spec's base loss, which the
-transform routes by, and its gradient; each clamps the raw scores itself.
-The selection holds only 0.0 and 1.0, checked on entry, so the weight
-routed to base element (i, k) is the number of selected j with
-``routing[i, j] == k``: one ``bincount`` over the selected columns of the
-routing, gathered with ``compress``, which keeps them C-ordered where a
-mask index would not. A sum of ones is exact in any order, so it has the
-bits of ``losses.hier_transform_backward`` of the broadcast selection. The
-batch still takes that routing from ``losses.hier_transform``.
+The batch path, ``hcl_grad``, calls the spec's base loss and its
+gradient; each clamps the raw scores itself. The selection holds only 0.0
+and 1.0, checked on entry, so the weight on base element (i, k) is the
+number of selected j whose transformed element (i, j) it realizes.
+``losses._hier_weights`` writes those counts over the base loss in one
+sweep per scope, with no routing array (only the ancestors-only sweep makes
+a transformed surface, which it reads), and the gradient is multiplied by
+them. A count of ones is exact in any order, so it has the bits of
+``losses.hier_transform_backward`` of the routing with the broadcast
+selection as upstream.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     for rows, block in zip(blocks, scores, strict=True):
         surface = loss_fn(y[rows], block, out=buf[:rows.stop - rows.start])
         if spec.transform:
-            losses.hier_transform_in_place(surface, taxonomy, spec.scope)
+            losses.hier_transform(surface, taxonomy, spec.scope, out=surface)
         if L is None:
             L = surface.sum(axis=0)
         else:  # carry the running sums in as the block's first row
@@ -255,7 +256,7 @@ def hcl_loss(y, scores, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
         if spec.curriculum:
             errors = losses.zero_one_errors(y[rows], block, spec.decision_threshold)
             if spec.transform:
-                losses.hier_transform_in_place(errors, taxonomy, spec.scope)
+                losses.hier_transform(errors, taxonomy, spec.scope, out=errors)
             e_total += np.count_nonzero(errors)
     if not spec.curriculum:
         return float(L.sum()), np.ones(taxonomy.n_classes)
@@ -269,23 +270,19 @@ def hcl_grad(y, scores, s, taxonomy: Taxonomy, spec: LossSpec = LossSpec()):
     the surface being the spec's (transformed) base loss and ``s`` frozen, a
     length-C vector of 0.0 and 1.0 (ValueError otherwise).
 
-    With the transform, each element's weight ``s_j`` is routed to the base
-    element that realized its max (a count, see the module docstring);
-    without it, column j is scaled by ``s_j``.
+    With the transform, each selected class's unit goes to the base element
+    that realized its max (a count, see the module docstring); without it,
+    column j is scaled by ``s_j``.
     """
     s = np.asarray(s, dtype=np.float64)
     c = taxonomy.n_classes
     if s.shape != (c,) or not ((s == 0.0) | (s == 1.0)).all():
         raise ValueError(f"selection must be a length-{c} vector of 0.0 and 1.0")
     loss_fn, grad_fn = _base_fns(spec)
-    if not spec.transform:
-        grad = grad_fn(y, scores)
-        grad *= s
-        return grad
-    _, routing = losses.hier_transform(loss_fn(y, scores), taxonomy, scope=spec.scope)
+    weights = s
+    if spec.transform:
+        weights = loss_fn(y, scores)
+        losses._hier_weights(weights, taxonomy, spec.scope, s == 1.0)
     grad = grad_fn(y, scores)
-    n = len(routing)
-    flat = routing.compress(s == 1.0, axis=1)  # C-ordered, unlike routing[:, s == 1.0]
-    flat += (np.arange(n) * c)[:, None]
-    grad *= np.bincount(flat.ravel(), minlength=n * c).reshape(n, c)
+    grad *= weights
     return grad

@@ -13,10 +13,8 @@ The epoch-end selection pass reads only column sums of the transformed base
 loss and a count of transformed 0-1 errors, so it has fast paths that keep
 the bits of the general ones:
 
-- ``hier_transform_in_place`` is ``hier_transform`` without the routing,
-  written over its input. Both run the same per-scope sweep, which writes
-  the transformed value with one shared line and computes the routing only
-  when asked for it.
+- ``hier_transform(..., out=surface)`` writes the transformed values over
+  the surface it reads, which the per-scope sweeps allow.
 - ``zero_one_errors`` is the 0-1 loss as a bool surface. ``np.maximum`` on
   bool is OR, so the sweep transforms it as it does the float surface, and
   counting its True entries gives the float sum of the transformed 0/1
@@ -34,15 +32,20 @@ the bits of the general ones:
   passes one per pass. ``focal_loss`` writes over its copy the same way
   and keeps one more block-sized array, the factor ``(1-p_t)^gamma``.
 
-The batch gradient (``curriculum.hcl_grad``) calls the base loss, which
-the transform routes by, and the base gradient, each on its own clamped
-copy. The routing sweeps do their id arithmetic in the narrowest signed
-integer type that holds C (``_id_dtype``; int16 at C=584), selecting with
-mask arithmetic rather than ``np.where``, and write int64 routing. The
-routing array stays, though the batch reads no transformed value: each base
-element's weight is a count of the selected classes routed to it, one
-``bincount`` over the routing, and the routing is what a traced run reads
-for the share of elements routed to a shallower class.
+The batch gradient (``curriculum.hcl_grad``) needs no transformed value,
+only where each selected class's transformed element came from. Each
+selected class puts one unit on the base element that realizes its max:
+its own, or the smallest maximizing id of its scope. ``_hier_weights``
+writes those counts over the base loss in one sweep per scope, with no
+routing array: a class keeps its unit unless its base element is strictly
+below the max of its scope, and a losing unit goes to the running max's id
+(all-shallower) or to the nearest ancestor that is its root path's
+smallest maximizer (ancestors-only). A count of ones is exact in any
+order, so the weights have the bits of ``hier_transform_backward`` of the
+routing that ``tests/slow_reference.py`` keeps. Nothing in the package
+calls ``hier_transform_backward``; it stays as the public scatter of a
+general upstream, which the benchmark's tracer (``hclbench/spans.py``)
+wraps.
 """
 
 from __future__ import annotations
@@ -57,11 +60,11 @@ SCOPE_ALL_SHALLOWER = "all-shallower"
 SCOPE_ANCESTORS_ONLY = "ancestors-only"
 SCOPES = (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY)
 
-# Rows per block in the row-local loops: the transform sweeps, the backward
-# scatter and the sigmoid. It bounds their temporaries however many rows a
-# pass has, and at C=584 a block's temporaries stay in cache: on a 3072-row
-# pass, 64-row blocks ran the ancestors-only sweep about twice as fast as
-# 128 or more.
+# Rows per block in the row-local loops: the transform sweeps, the sigmoid
+# and the rank counts of ``metrics``. It bounds their temporaries however
+# many rows a pass has, and at C=584 a block's temporaries stay in cache: on
+# a 3072-row pass, 64-row blocks ran the ancestors-only sweep about twice as
+# fast as 128 or more.
 _BLOCK_ROWS = 64
 
 # Rows per block of a pass over a whole split (``mlp.forward`` and the
@@ -185,116 +188,140 @@ def _check_surface(base, taxonomy: Taxonomy, scope: str) -> None:
         )
 
 
-def _sweep(base, taxonomy: Taxonomy, scope: str, out, routing=None) -> None:
-    """Run the scope's sweep over ``_row_blocks`` of ``_BLOCK_ROWS`` rows."""
-    sweep = _all_shallower_sweep if scope == SCOPE_ALL_SHALLOWER else _ancestors_sweep
-    for rows in _row_blocks(base.shape[0], _BLOCK_ROWS):
-        sweep(base[rows], taxonomy, out[rows], None if routing is None else routing[rows])
-
-
-def hier_transform(base, taxonomy: Taxonomy, scope: str = SCOPE_ALL_SHALLOWER):
+def hier_transform(base, taxonomy: Taxonomy, scope: str = SCOPE_ALL_SHALLOWER, out=None):
     """Apply the level-monotone max transform to a loss surface.
 
-    Returns ``(transformed, routing)``. Element (i, j) of ``transformed`` is
-    the max of ``base[i, j]`` and the in-scope elements of row i: every class
-    at a strictly shallower level (``all-shallower``), or the strict
-    ancestors of j (``ancestors-only``). ``routing[i, j]`` is the class id
-    whose base element realized that max. Ties go to j itself, then to the
-    smallest class id among maximizers. An element whose transformed value
-    is NaN routes to j itself, so routing always holds ids in [0, C).
+    Element (i, j) of the result is the max of ``base[i, j]`` and the
+    in-scope elements of row i: every class at a strictly shallower level
+    (``all-shallower``), or the strict ancestors of j (``ancestors-only``).
+    A NaN in scope gives NaN.
+
+    The result is a new float64 array, or ``out`` when it is given: a
+    float64 or bool array of the surface's shape, which may be ``base``
+    itself. A bool surface is transformed as its 0/1 float surface would
+    be, since ``np.maximum`` on bool is OR. Writing over ``base`` is safe: a
+    sweep reads each column before it writes that column, and reads a
+    shallower column only once it holds its transformed value.
 
     Both scopes sweep the level buckets in ascending order, O(C) per
     example, over ``_row_blocks`` of ``_BLOCK_ROWS`` rows so that the
     per-level temporaries stay small. ``all-shallower`` carries one running
-    max (and its id) per row across levels. ``ancestors-only`` gathers, per
-    level, each class's parent column of the running max and of its
-    smallest maximizing id: parents sit one level up, so both are final by
-    then, and the running max of a class's chain is its transformed value.
+    max per row across levels; ``ancestors-only`` takes, per level, the max
+    of each class and its parent's column, which is final by then.
     """
-    base = np.asarray(base, dtype=np.float64)
+    base = np.asarray(base, dtype=np.float64 if out is None else None)
+    if out is None:
+        out = np.empty_like(base)
+    elif not (isinstance(out, np.ndarray) and out.dtype in (np.float64, np.bool_)
+              and (out.dtype, out.shape) == (base.dtype, base.shape)):
+        raise ValueError("out must be a float64 or bool array of the surface's type and shape")
     _check_surface(base, taxonomy, scope)
-    out = np.empty_like(base)
-    routing = np.empty(base.shape, dtype=np.int64)
-    _sweep(base, taxonomy, scope, out, routing)
-    return out, routing
+    sweep = _all_shallower_sweep if scope == SCOPE_ALL_SHALLOWER else _ancestors_sweep
+    for rows in _row_blocks(base.shape[0], _BLOCK_ROWS):
+        sweep(base[rows], taxonomy, out[rows])
+    return out
 
 
-def hier_transform_in_place(surface, taxonomy: Taxonomy, scope: str) -> None:
-    """Overwrite ``surface`` with ``hier_transform(surface, taxonomy,
-    scope)[0]``, bit for bit, without computing the routing.
-
-    ``surface`` is a float64 or a bool array; a bool surface is transformed
-    as its 0/1 float surface would be, since ``np.maximum`` on bool is OR.
-    Writing in place is safe: a sweep reads each column before it writes
-    that column, and reads a shallower column only once it holds its
-    transformed value.
-    """
-    if not isinstance(surface, np.ndarray) or surface.dtype not in (np.float64, np.bool_):
-        raise ValueError("the surface must be a float64 or bool array to transform in place")
-    _check_surface(surface, taxonomy, scope)
-    _sweep(surface, taxonomy, scope, surface)
-
-
-_ID_TYPES = (np.int8, np.int16, np.int32, np.int64)
-
-
-def _id_dtype(n_classes: int):
-    """The narrowest signed integer type that holds ``n_classes`` and its
-    negation: every class id, the -1 of no id yet and every difference the
-    routing sweeps form."""
-    return next(t for t in _ID_TYPES if n_classes <= np.iinfo(t).max)
-
-
-def _all_shallower_sweep(base, taxonomy: Taxonomy, out, routing=None):
-    """One row block of the all-shallower transform, written into the
-    ``out`` view, and into ``routing`` unless it is None."""
-    n = base.shape[0]
-    run_val = np.full(n, False if base.dtype == np.bool_ else -np.inf, dtype=base.dtype)
-    if routing is not None:
-        id_type = _id_dtype(taxonomy.n_classes)
-        run_id = np.full(n, -1, dtype=id_type)
+def _all_shallower_sweep(base, taxonomy: Taxonomy, out):
+    """One row block of the all-shallower transform, written into ``out``."""
+    run_val = np.full(base.shape[0], False if base.dtype == np.bool_ else -np.inf, dtype=base.dtype)
     for ids in taxonomy.levels_index[1:]:
         sub = base[:, ids]
         lev_max = sub.max(axis=1)
-        if routing is not None:
-            ids = ids.astype(id_type)
-            # j wins unless strictly below: a NaN on either side routes to j
-            routing[:, ids] = ids - (sub < run_val[:, None]) * (ids - run_id[:, None])
-            # fold this level into the running shallower max; argmax picks the
-            # first (= smallest id, buckets are ascending) and cross-level ties
-            # keep the smaller id. The masks are exclusive, and NaN sets neither.
-            step = ids[np.argmax(sub, axis=1)] - run_id
-            run_id += (lev_max > run_val) * step + (lev_max == run_val) * np.minimum(step, 0)
         out[:, ids] = np.maximum(sub, run_val[:, None], out=sub)
         run_val = np.maximum(run_val, lev_max)
 
 
-def _ancestors_sweep(base, taxonomy: Taxonomy, out, routing=None):
-    """One row block of the ancestors-only transform, written into the
-    ``out`` view, and into ``routing`` unless it is None."""
+def _ancestors_sweep(base, taxonomy: Taxonomy, out):
+    """One row block of the ancestors-only transform, written into ``out``."""
     roots, *deeper = taxonomy.levels_index[1:]
     out[:, roots] = base[:, roots]
-    if routing is not None:
-        # smallest id among the maximizers of each class's root-path chain
-        id_type = _id_dtype(taxonomy.n_classes)
-        chain_min = np.empty(base.shape, dtype=id_type)
-        routing[:, roots] = roots
-        chain_min[:, roots] = roots
     for ids in deeper:
-        parents = taxonomy.parent_ids[ids]
         col = base[:, ids]
-        anc_val = out[:, parents]
-        if routing is not None:
-            ids = ids.astype(id_type)
-            # ids follow path order, so every ancestor id is below ids: a tie
-            # keeps the parent's chain_min as the chain's smallest maximizer.
-            # Selecting with mask * step is exact and faster than np.where.
-            step = chain_min[:, parents]
-            np.subtract(ids, step, out=step)
-            # j wins unless strictly below: a NaN on either side routes to j
-            routing[:, ids] = ids - (col < anc_val) * step
-            chain_min[:, ids] = ids - ~(col > anc_val) * step
-        out[:, ids] = np.maximum(col, anc_val, out=col)
+        out[:, ids] = np.maximum(col, out[:, taxonomy.parent_ids[ids]], out=col)
+
+
+def _hier_weights(surface, taxonomy: Taxonomy, scope: str, selected) -> None:
+    """Overwrite the base loss ``surface`` with the weight that a 0/1
+    selection puts on each of its elements through the transform.
+
+    ``selected`` is a length-C bool vector. Each selected class j puts one
+    unit on the base element that realizes the transformed element (i, j):
+    (i, j) itself unless ``surface[i, j]`` is strictly below the max of its
+    scope (a NaN on either side keeps it there), else the smallest id among
+    the scope's maximizers. Element (i, k) becomes the number of units on
+    it, a count of ones, so exact in float64 whatever the order of adding.
+    This is ``hier_transform_backward`` of the routing with the selection
+    broadcast as its upstream, with no routing array.
+    """
+    _check_surface(surface, taxonomy, scope)
+    sweep = _all_shallower_weights if scope == SCOPE_ALL_SHALLOWER else _ancestors_weights
+    sweep(surface, taxonomy, selected)
+
+
+def _all_shallower_weights(base, taxonomy: Taxonomy, selected):
+    """``_hier_weights`` under all-shallower, written over ``base``.
+
+    Level by level, a selected class keeps its unit unless it is strictly
+    below the running max of the shallower levels, and each row's losing
+    units go to the running max's id, whose level already holds weights.
+    The running id is the smallest maximizing id: ``argmax`` picks the first
+    of a level (buckets are ascending), a tie across levels keeps the
+    smaller id, and NaN moves neither. A row with no finite running max yet
+    loses nothing, so its id -1 only adds 0 to the last column, which leaves
+    every comparison as it was. The deepest level feeds no running max."""
+    run_val = np.full(len(base), -np.inf)
+    run_id = np.full(len(base), -1)
+    rows = np.arange(len(base))
+    for ids in taxonomy.levels_index[1:]:
+        sub = base[:, ids]
+        lose = sub < run_val[:, None]
+        lose &= selected[ids]
+        base[:, ids] = lose ^ selected[ids]
+        base[rows, run_id] += np.count_nonzero(lose, axis=1)
+        if ids is taxonomy.levels_index[-1]:
+            return
+        lev_max = sub.max(axis=1)
+        # the masks are exclusive, and NaN sets neither
+        step = ids[np.argmax(sub, axis=1)] - run_id
+        run_id += (lev_max > run_val) * step + (lev_max == run_val) * np.minimum(step, 0)
+        run_val = np.maximum(run_val, lev_max)
+
+
+def _ancestors_weights(base, taxonomy: Taxonomy, selected):
+    """``_hier_weights`` under ancestors-only, written over ``base``.
+
+    A base element loses exactly where its transformed value is above it,
+    and a class is the smallest maximizer of its root path exactly where its
+    transformed value is above its parent's (it wins; a root always wins).
+    A losing unit goes to its nearest winning strict ancestor, its parent's
+    smallest maximizer. So up the levels, a class keeps its own unit unless
+    it loses, and keeps the units passed up to it if it wins; it passes the
+    rest to its parent. Ids follow lexicographic path order, in which the
+    names under one prefix are consecutive, so each parent's children are
+    one run of their bucket (ValueError otherwise), and one ``reduceat`` per
+    level adds up what each parent is passed."""
+    levels, parent_ids = taxonomy.levels_index, taxonomy.parent_ids
+    transformed = np.empty_like(base)
+    _ancestors_sweep(base, taxonomy, transformed)
+    lose = transformed > base  # a NaN on either side sets neither
+    lose &= selected
+    base[:] = lose ^ selected
+    up = lose[:, levels[-1]].astype(np.float64)  # nothing is passed to the deepest level
+    for below, ids in zip(levels[:1:-1], levels[-2:0:-1]):
+        parents = parent_ids[below]
+        runs = np.flatnonzero(np.diff(parents, prepend=VIRTUAL_ROOT))
+        at = np.searchsorted(ids, parents[runs])  # where each run's parent sits in ids
+        if np.bincount(at).max() > 1:
+            raise ValueError("class ids do not follow lexicographic path order")
+        passed = np.zeros((len(base), len(ids)))
+        passed[:, at] = np.add.reduceat(up, runs, axis=1)
+        kept = passed
+        if ids is not levels[1]:  # a root always wins
+            kept = passed * (transformed[:, ids] > transformed[:, parent_ids[ids]])
+        base[:, ids] += kept
+        up = passed - kept
+        up += lose[:, ids]
 
 
 def hier_transform_backward(routing, upstream) -> np.ndarray:
@@ -308,21 +335,11 @@ def hier_transform_backward(routing, upstream) -> np.ndarray:
     if routing.shape != upstream.shape or routing.ndim != 2:
         raise ValueError(f"routing/upstream shape mismatch: {routing.shape} vs {upstream.shape}")
     n, c = routing.shape
-    out = np.empty((n, c))
-    for rows in _row_blocks(n, _BLOCK_ROWS):
-        block = routing[rows]
-        if not block.size:  # no rows or no classes: nothing to check or scatter
-            continue
-        lo, hi = int(block.min()), int(block.max())
-        if lo < 0 or hi >= c:
-            raise ValueError(f"routing ids must lie in [0, {c}), found {lo if lo < 0 else hi}")
-        m = len(block)
-        # bincount adds each row's entries in order from 0.0, as np.add.at would
-        flat = block + (np.arange(m) * c)[:, None]
-        out[rows] = np.bincount(
-            flat.ravel(), weights=upstream[rows].ravel(), minlength=m * c
-        ).reshape(m, c)
-    return out
+    if routing.size and not 0 <= routing.min() <= routing.max() < c:
+        raise ValueError(f"routing ids must lie in [0, {c})")
+    # bincount adds each row's entries in order from 0.0, as np.add.at would
+    flat = routing + (np.arange(n) * c)[:, None]
+    return np.bincount(flat.ravel(), weights=upstream.ravel(), minlength=n * c).reshape(n, c)
 
 
 def check_label_matrix(y, taxonomy: Taxonomy) -> np.ndarray:

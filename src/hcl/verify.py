@@ -135,7 +135,7 @@ def check_lambda(trials: int, seed: int, transform=losses.hier_transform) -> Che
             (losses.SCOPE_ALL_SHALLOWER, _lambda_violation, "deeper_class", "shallower_class"),
             (losses.SCOPE_ANCESTORS_ONLY, _chain_violation, "child", "parent"),
         ):
-            out, _ = transform(base, tax, scope)
+            out = transform(base, tax, scope)
             hit = violation(out, tax)
             if hit is not None:
                 i, lower, upper = hit
@@ -182,7 +182,7 @@ def check_bound_chain(trials: int, seed: int, transform=losses.hier_transform) -
     def trial(rng, info):
         tax = random_taxonomy(rng)
         base = random_surface(rng, int(rng.integers(1, 51)), tax.n_classes)
-        out, _ = transform(base, tax, losses.SCOPE_ALL_SHALLOWER)
+        out = transform(base, tax, losses.SCOPE_ALL_SHALLOWER)
         if (out < base).any():
             i, j = np.argwhere(out < base)[0]
             return _instance_payload(tax, base, int(i), {
@@ -218,8 +218,8 @@ def check_sandwich(trials: int, seed: int, tol: float = 1e-9) -> CheckResult:
         n = int(rng.integers(1, 51))
         e01 = rng.integers(0, 2, size=(n, tax.n_classes)).astype(np.float64)
         base = e01 + rng.uniform(0.0, 2.0, size=e01.shape)
-        lh, _ = losses.hier_transform(base, tax)
-        eh, _ = losses.hier_transform(e01, tax)
+        lh = losses.hier_transform(base, tax)
+        eh = losses.hier_transform(e01, tax)
         agg = curriculum.ClassLossAggregate(L=lh.sum(axis=0), e_h_total=float(eh.sum()))
         s = curriculum.select_classes(agg, spec.rule, spec.thresh)
         value = curriculum.curriculum_objective(s, agg)
@@ -333,7 +333,7 @@ def check_gradients(trials: int, seed: int) -> CheckResult:
             _, s_vec = curriculum.hcl_loss(y, scores, tax, spec)
 
             def pipeline(sc, s_vec=s_vec, scope=scope):
-                lh, _ = losses.hier_transform(losses.bce_loss(y, sc), tax, scope)
+                lh = losses.hier_transform(losses.bce_loss(y, sc), tax, scope)
                 return float((s_vec[None, :] * lh).sum())
 
             # the gradient function that training calls

@@ -31,8 +31,10 @@ The references, each with the fast path it checks:
   ``Taxonomy.heights`` and ``leaf_ids``.
 - ``slow_all_shallower`` and ``slow_ancestors_only`` (``SLOW_TRANSFORMS``):
   a per-class scan of every strictly shallower column, or of the class's
-  strict ancestors, for the max and its smallest maximizing id;
-  ``losses.hier_transform`` and ``hier_transform_in_place``.
+  strict ancestors, for the max and its smallest maximizing id; the values
+  check ``losses.hier_transform``, and the routing (the id each element's
+  max comes from: the class itself unless it is strictly below the max of
+  its scope) is the one place the routing rule is written down.
 - ``slow_backward``: the ``np.add.at`` scatter;
   ``losses.hier_transform_backward``.
 - ``slow_bce_loss``, ``slow_bce_grad``, ``slow_focal_loss`` and
@@ -48,7 +50,8 @@ The references, each with the fast path it checks:
   ``curriculum.hcl_loss`` counts the bool one under either scope;
   ``hcl_loss`` and ``curriculum_objective``.
 - ``slow_hcl_grad``: the batch gradient from the slow base functions, the
-  slow transform's routing and the scatter; ``curriculum.hcl_grad``.
+  slow transform's routing and the scatter; ``curriculum.hcl_grad`` and its
+  routing-free weight sweeps, ``losses._hier_weights``.
 - ``SLOW_MODES``: each loss mode's base loss and switches, the first three
   fields of its ``LossSpec``, written apart from ``curriculum.LOSS_PRESETS``
   so that a wrong preset shows.

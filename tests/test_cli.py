@@ -6,6 +6,7 @@ it writes, so exit codes, stdout/stderr and file layouts are all covered.
 
 import json
 import filecmp
+import hashlib
 import struct
 import weakref
 from importlib import resources
@@ -62,6 +63,18 @@ def test_train_writes_a_complete_run_directory(tmp_path):
     assert 0.0 <= test_final["mrr"] <= 100.0
     assert test_final["hierdist"] >= 0.0
     assert len(report["selection_history"]) == 3
+
+
+def test_train_report_records_where_its_bits_came_from(tmp_path):
+    run = tmp_path / "run"
+    assert _train(run) == 0
+    report = json.loads((run / "report.json").read_text())
+    assert report["numpy_version"] == np.__version__
+    assert report["checkpoint_sha256"] == hashlib.sha256(
+        (run / "checkpoint.bin").read_bytes()).hexdigest()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert report["blas"] == {"name": blas["name"], "version": blas["version"],
+                              "core": cli.openblas_core()}
 
 
 def test_train_is_deterministic_across_runs(tmp_path):

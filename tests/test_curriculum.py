@@ -366,8 +366,8 @@ def test_objective_sits_between_zero_one_total_and_transformed_total(seed):
     scores = rng.uniform(0.05, 0.95, size=y.shape)
     e01 = losses.zero_one_errors(y, scores, 0.5)
     base = e01 + rng.uniform(0.0, 1.0, size=e01.shape)  # dominates 0-1
-    lh, _ = losses.hier_transform(base, tax)
-    eh, _ = losses.hier_transform(e01, tax)
+    lh = losses.hier_transform(base, tax)
+    eh = losses.hier_transform(e01, tax)
     agg = agg_of(lh.sum(axis=0), eh.sum())
     s = select_classes(agg, RULE_OPTIMAL_PREFIX, None)
     value = curriculum_objective(s, agg)

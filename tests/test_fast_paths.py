@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hcl import curriculum, data, losses, metrics, mlp, verify
 from hcl.losses import SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY, hier_transform
-from hcl.taxonomy import VIRTUAL_ROOT, parse_hierarchy
+from hcl.taxonomy import VIRTUAL_ROOT, Taxonomy, parse_hierarchy
 from slow_reference import (
     SLOW_MODES,
     SLOW_TRANSFORMS,
@@ -77,10 +77,9 @@ def test_transform_matches_slow_reference_across_row_blocks(scope, n):
     for _ in range(4):
         tax = _forest(rng)
         base = verify.random_surface(rng, n, tax.n_classes)
-        out, routing = hier_transform(base, tax, scope=scope)
         ref_out, ref_routing = SLOW_TRANSFORMS[scope](base, tax)
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(routing, ref_routing)
+        assert np.array_equal(hier_transform(base, tax, scope=scope), ref_out)
+        _check_weights(base, tax, scope, ref_routing, (rng.random(tax.n_classes) < 0.5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,10 +89,44 @@ def test_transform_matches_slow_reference_on_random_forests(seed):
     tax = verify.random_taxonomy(rng)
     base = verify.random_surface(rng, int(rng.integers(1, 40)), tax.n_classes)
     for scope, slow in SLOW_TRANSFORMS.items():
-        out, routing = hier_transform(base, tax, scope=scope)
         ref_out, ref_routing = slow(base, tax)
-        assert np.array_equal(out, ref_out)
-        assert np.array_equal(routing, ref_routing)
+        assert np.array_equal(hier_transform(base, tax, scope=scope), ref_out)
+        _check_weights(base, tax, scope, ref_routing, (rng.random(tax.n_classes) < 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_weights_of_a_row_add_up_to_its_selected_classes(seed):
+    """Each selected class puts one unit on one element of its row, NaN
+    and ties included, so a row's weights add up to the selected count."""
+    rng = np.random.default_rng(seed)
+    tax = verify.random_taxonomy(rng)
+    base = _nan_tie_surface(rng, int(rng.integers(1, 3 * BLOCK)), tax.n_classes)
+    selected = rng.random(tax.n_classes) < rng.random()
+    for scope in losses.SCOPES:
+        weights = base.copy()
+        losses._hier_weights(weights, tax, scope, selected)
+        assert (weights >= 0).all() and (weights == np.round(weights)).all()
+        assert (weights.sum(axis=1) == selected.sum()).all()
+
+
+def test_ancestors_weights_reject_ids_out_of_path_order():
+    """A parent's children must be one run of their level bucket, as ids in
+    lexicographic path order are: here "a/z" comes after "b/y"."""
+    t = Taxonomy(class_names=("a", "b", "a/x", "b/y", "a/z"),
+                 parent_ids=np.array([VIRTUAL_ROOT, VIRTUAL_ROOT, 0, 1, 0]),
+                 level=np.array([1, 1, 2, 2, 2]))
+    with pytest.raises(ValueError, match="lexicographic path order"):
+        losses._hier_weights(np.ones((1, 5)), t, SCOPE_ANCESTORS_ONLY, np.ones(5, dtype=bool))
+
+
+def _check_weights(base, tax, scope, routing, selected):
+    """The weight sweep over ``base`` equals the ``np.add.at`` scatter of the
+    broadcast selection along the slow routing, bit for bit."""
+    weights = np.array(base, dtype=np.float64)
+    assert losses._hier_weights(weights, tax, scope, selected) is None
+    want = slow_backward(routing, np.broadcast_to(selected, routing.shape).astype(np.float64))
+    assert _same_bits(weights, want)
 
 
 @pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
@@ -102,18 +135,17 @@ def test_nan_elements_route_to_themselves(scope):
     a, bz = t.id_of("a"), t.id_of("b/z")
     base = np.ones((2, t.n_classes))
     base[0, a] = np.nan
-    out, routing = hier_transform(base, t, scope=scope)
+    out = hier_transform(base, t, scope=scope)
     nan = np.isnan(out)
     assert nan[0, a] and not nan[1].any()
-    cols = np.broadcast_to(np.arange(t.n_classes), routing.shape)
-    assert np.array_equal(routing[nan], cols[nan])
-    assert routing.min() >= 0 and routing.max() < t.n_classes
-    # nothing reaches b/z but its own upstream: no wrap-around from id -1
-    grad = losses.hier_transform_backward(routing, np.ones_like(base))
-    assert grad[0, bz] == 1.0
+    # a NaN transformed element keeps its own unit, and nothing wraps to b/z,
+    # the last column, from the id -1 of row 0, whose running max is NaN
+    weights = base.copy()
+    losses._hier_weights(weights, t, scope, np.ones(t.n_classes, dtype=bool))
+    assert (weights[nan] >= 1.0).all() and weights[0, bz] == 1.0
     ref_out, ref_routing = SLOW_TRANSFORMS[scope](base, t)
     assert np.array_equal(out, ref_out, equal_nan=True)
-    assert np.array_equal(routing, ref_routing)
+    _check_weights(base, t, scope, ref_routing, np.ones(t.n_classes, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +160,7 @@ def test_backward_matches_add_at_for_general_upstream(n):
     c = tax.n_classes
     base = verify.random_surface(rng, n, c)
     for scope in (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY):
-        _, routing = hier_transform(base, tax, scope=scope)
+        _, routing = SLOW_TRANSFORMS[scope](base, tax)
         selection = (rng.random(c) < 0.5).astype(np.float64)
         upstreams = (
             rng.normal(size=(n, c)),  # mixed signs
@@ -471,10 +503,12 @@ def test_zero_rows_pass_through_every_blocked_loop(mode, scope):
     the epoch-end pass the all-zero aggregate's."""
     tax = EPOCH_END_TAXONOMIES[12]
     y, scores = np.ones((0, 12)), np.empty((0, 12))
-    out, routing = hier_transform(scores, tax, scope)
-    assert out.shape == routing.shape == (0, 12)
+    out = hier_transform(scores, tax, scope)
+    assert out.shape == (0, 12)
     for surface in (np.empty((0, 12)), np.empty((0, 12), dtype=bool)):
-        losses.hier_transform_in_place(surface, tax, scope)
+        assert hier_transform(surface, tax, scope, out=surface) is surface
+    losses._hier_weights(out, tax, scope, np.ones(12, dtype=bool))
+    routing = np.empty((0, 12), dtype=np.int64)
     assert losses.hier_transform_backward(routing, out).shape == (0, 12)
 
     params = mlp.init_params(16, 800, 12, seed=0)
@@ -583,11 +617,11 @@ def test_focal_transform_curriculum_gradient_matches_finite_differences(scope):
             assert verify.max_rel_err(analytic, fd) < verify.GRAD_RTOL
 
 
-# C=12 takes int8 ids in the routing sweeps, 584 int16 and 33306 int32
-ID_TYPE_TAXONOMIES = {12: np.int8, 584: np.int16, 33306: np.int32}
+# the batch gradient's class counts: the desk's, wide's, and one past int16 ids
+GRADIENT_CLASS_COUNTS = (12, 584, 33306)
 
 
-def _id_type_taxonomy(c):
+def _gradient_taxonomy(c):
     if c == 33306:
         return _complete_taxonomy(182, 2)
     return EPOCH_END_TAXONOMIES[c]
@@ -609,19 +643,19 @@ def _selections(rng, c):
     return (np.ones(c), np.zeros(c), (rng.random(c) < 0.6).astype(np.float64))
 
 
-@pytest.mark.parametrize("c", ID_TYPE_TAXONOMIES)
-def test_routing_sweeps_use_the_narrowest_id_type_and_keep_the_routing(c):
-    """Each id type's sweeps give the slow transforms' values and int64
-    routing, on tie-prone surfaces with NaN."""
-    tax = _id_type_taxonomy(c)
-    assert losses._id_dtype(c) == ID_TYPE_TAXONOMIES[c]
+@pytest.mark.parametrize("c", GRADIENT_CLASS_COUNTS)
+def test_sweeps_match_the_slow_transform_and_its_routing(c):
+    """The sweeps give the slow transforms' values, and the weights of the
+    slow routing for empty, full and random selections, on tie-prone
+    surfaces with NaN."""
+    tax = _gradient_taxonomy(c)
     rng = np.random.default_rng(c)
     base = _nan_tie_surface(rng, 3, c)
     for scope, slow in SLOW_TRANSFORMS.items():
-        out, routing = hier_transform(base, tax, scope)
         ref_out, ref_routing = slow(base, tax)
-        assert routing.dtype == np.int64
-        assert _same_bits(out, ref_out) and np.array_equal(routing, ref_routing)
+        assert _same_bits(hier_transform(base, tax, scope), ref_out)
+        for s in _selections(rng, c):
+            _check_weights(base, tax, scope, ref_routing, s == 1.0)
 
 
 @pytest.mark.parametrize("base", curriculum.BASE_LOSSES)
@@ -632,7 +666,7 @@ def test_batch_gradient_matches_slow_routing_and_scatter(c, scope, base):
     functions, the slow transform and the ``np.add.at`` scatter, bit for
     bit: scores at 0, 1, ``LOG_EPS`` and NaN with cross-level loss ties,
     and selections of all ones, all zeros and random."""
-    tax = _id_type_taxonomy(c)
+    tax = _gradient_taxonomy(c)
     rng = np.random.default_rng(c + len(scope + base))
     for n in ROW_COUNTS:
         y = rng.choice([-1, 1], size=(n, c)).astype(np.int8)
@@ -646,15 +680,18 @@ def test_batch_gradient_matches_slow_routing_and_scatter(c, scope, base):
 
 @pytest.mark.parametrize("scope", (SCOPE_ALL_SHALLOWER, SCOPE_ANCESTORS_ONLY))
 def test_batch_gradient_matches_slow_reference_on_int32_ids(scope):
+    """Each base at C=33306 with a partial or the full selection; the sweeps'
+    weights for every selection at this C are checked on their own above."""
     c = 33306
-    tax = _id_type_taxonomy(c)
+    tax = _gradient_taxonomy(c)
     rng = np.random.default_rng(5)
     y = rng.choice([-1, 1], size=(2, c)).astype(np.int8)
     scores = _grid_scores(rng, y.shape)
-    s = _selections(rng, c)[2]
-    spec = curriculum.LossSpec(scope=scope)
-    assert _same_bits(curriculum.hcl_grad(y, scores, s, tax, spec),
-                      slow_hcl_grad(y, scores, s, tax, spec))
+    full, _, partial = _selections(rng, c)
+    for base, s in (("bce", partial), ("focal", full)):
+        spec = curriculum.LossSpec(base, scope=scope)
+        assert _same_bits(curriculum.hcl_grad(y, scores, s, tax, spec),
+                          slow_hcl_grad(y, scores, s, tax, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -833,12 +870,16 @@ def test_in_place_value_sweep_equals_hier_transform_values(seed):
     for scope, slow in SLOW_TRANSFORMS.items():
         ref, _ = slow(base, tax)
         surface = base.copy()
-        assert losses.hier_transform_in_place(surface, tax, scope) is None
+        assert hier_transform(surface, tax, scope, out=surface) is surface
         assert _same_bits(surface, ref)
+        # into another array, the surface left as it was
+        out = np.empty_like(base)
+        assert hier_transform(base, tax, scope, out=out) is out
+        assert _same_bits(out, ref)
         # a bool surface is transformed as its 0/1 float surface
         bits = base >= 2.0
         ref01, _ = slow(bits.astype(np.float64), tax)
-        losses.hier_transform_in_place(bits, tax, scope)
+        assert hier_transform(bits, tax, scope, out=bits) is bits
         assert bits.dtype == np.bool_ and np.array_equal(bits, ref01 != 0)
 
 
@@ -850,7 +891,18 @@ def test_in_place_value_sweep_equals_hier_transform_values(seed):
 def test_in_place_value_sweep_rejects_what_it_cannot_overwrite_exactly(surface):
     tax = parse_hierarchy(["a", "a/x"])
     with pytest.raises(ValueError, match="float64 or bool array"):
-        losses.hier_transform_in_place(surface, tax, SCOPE_ALL_SHALLOWER)
+        hier_transform(surface, tax, SCOPE_ALL_SHALLOWER, out=surface)
+
+
+@pytest.mark.parametrize("base, out", (
+    (np.zeros((1, 2)), np.zeros((1, 2), dtype=bool)),  # a float surface into bool
+    (np.zeros((1, 2), dtype=bool), np.zeros((1, 2))),
+    (np.zeros((2, 2)), np.zeros((1, 2))),
+))
+def test_transform_rejects_an_out_of_another_type_or_shape(base, out):
+    tax = parse_hierarchy(["a", "a/x"])
+    with pytest.raises(ValueError, match="surface's type and shape"):
+        hier_transform(base, tax, SCOPE_ALL_SHALLOWER, out=out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -870,8 +922,7 @@ def test_error_count_equals_float_sum_of_transformed_zero_one_loss(seed):
     assert errors.dtype == np.bool_ and np.array_equal(errors, ref01 != 0)
     for scope, slow in SLOW_TRANSFORMS.items():
         e_h, _ = slow(ref01, tax)
-        e_bits = errors.copy()
-        losses.hier_transform_in_place(e_bits, tax, scope)
+        e_bits = hier_transform(errors, tax, scope, out=errors.copy())
         assert float(np.count_nonzero(e_bits)) == float(e_h.sum())
 
 

@@ -13,7 +13,6 @@ same diff, one run per key, each with its variable set only for that run:
     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" PYTHONPATH=src python tests/test_golden.py
 """
 
-import ctypes
 import hashlib
 import json
 import tempfile
@@ -37,27 +36,10 @@ FIXTURE = [
 OUTPUTS = ("metrics.jsonl", "checkpoint.bin")
 
 
-def openblas_core() -> str:
-    """Core name of the OpenBLAS bundled with numpy's wheel, or "unknown"."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                fn = getattr(handle, f"{prefix}get_corename{suffix}", None)
-                if fn is not None:
-                    fn.argtypes, fn.restype = [], ctypes.c_char_p
-                    return fn().decode()
-    return "unknown"
-
-
 def digest_key() -> str:
     """numpy's version, the OpenBLAS core and numpy's enabled dispatch targets."""
     enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
-    return f"numpy {np.__version__}, openblas {openblas_core()}, dispatch {' '.join(enabled)}"
+    return f"numpy {np.__version__}, openblas {cli.openblas_core()}, dispatch {' '.join(enabled)}"
 
 
 def train_digests(root: Path) -> dict:

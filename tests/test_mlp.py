@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hcl import curriculum, losses, mlp
+from hcl import cli, curriculum, losses, mlp
 from hcl.curriculum import LOSS_MODES
 from hcl.data import Dataset, SynthConfig, normalize, split, synth_generate
 from hcl.mlp import (
@@ -354,33 +354,52 @@ def test_train_rejects_labels_that_are_not_ancestor_closed(split_name):
         train(bad, bad.taxonomy, TrainConfig(hidden_width=4, epochs=1))
 
 
+TRANSFORM_MODES = [mode for mode, spec in curriculum.LOSS_PRESETS.items() if spec.transform]
+
+
+@pytest.mark.parametrize("mode", TRANSFORM_MODES)
 @pytest.mark.parametrize("scope", losses.SCOPES)
-def test_train_takes_one_routing_per_batch(scope, monkeypatch):
-    """The batch gradient of a transform mode routes through one
-    ``losses.hier_transform`` call per batch, and the epoch-end pass through
-    none: a traced run reads the share of routed elements from that call.
-    Each batch also takes one ``losses.bce_loss`` and one ``losses.bce_grad``
-    call, the calls a traced run times as the bce span; the epoch-end pass
-    takes one ``bce_loss`` per row block."""
+def test_train_reaches_the_traced_loss_functions_through_their_module(scope, mode, tmp_path):
+    """A traced benchmark run swaps ``losses.hier_transform``, ``bce_loss``
+    and ``bce_grad`` for wrappers on the ``losses`` module, and names the
+    transform's span by the scope it is passed. So training must look them
+    up there at call time: the epoch-end pass transforms each row block's
+    loss surface, and with the curriculum its 0-1 surface, every epoch; each
+    batch takes one ``bce_loss`` and one ``bce_grad`` call (the batch
+    gradient's weights and its base gradient), and the epoch-end pass one
+    ``bce_loss`` per row block. The wrappers leave ``metrics.jsonl`` as it
+    was, byte for byte."""
     d = tiny_dataset()
+    cfg = TrainConfig(hidden_width=4, epochs=2, batch_size=16, transform_scope=scope,
+                      loss_mode=mode)
     calls = {"hier_transform": [], "bce_loss": [], "bce_grad": []}
 
     def counted(name):
         fn = getattr(losses, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(len(args[0]))
+            scope_seen = kwargs.get("scope", args[2] if len(args) > 2 else None)
+            calls[name].append((len(args[0]), scope_seen) if name == "hier_transform"
+                               else len(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(losses, name, counted(name))
-    cfg = TrainConfig(hidden_width=4, epochs=3, batch_size=16, transform_scope=scope)
-    train(d, d.taxonomy, cfg)
+    plain = tmp_path / "plain.jsonl"
+    cli._write_metrics_jsonl(train(d, d.taxonomy, cfg)[1], plain)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(losses, name, counted(name))
+        wrapped = tmp_path / "wrapped.jsonl"
+        cli._write_metrics_jsonl(train(d, d.taxonomy, cfg)[1], wrapped)
+    assert wrapped.read_bytes() == plain.read_bytes()
+
     n = len(d.indices("train"))
     batches = [min(16, n - start) for start in range(0, n, 16)]
     blocks = [rows.stop - rows.start for rows in losses._row_blocks(n)]
-    assert calls["hier_transform"] == calls["bce_grad"] == batches * cfg.epochs
+    surfaces = 2 if cfg.loss_spec().curriculum else 1
+    per_epoch = [(rows, scope) for rows in blocks for _ in range(surfaces)]
+    assert calls["hier_transform"] == per_epoch * cfg.epochs
+    assert calls["bce_grad"] == batches * cfg.epochs
     assert calls["bce_loss"] == (batches + blocks) * cfg.epochs
 
 

@@ -60,8 +60,7 @@ REFERENCES = {
     "slow_lca": ["taxonomy.Taxonomy.lca"],
     "slow_heights": ["taxonomy.Taxonomy.heights"],
     "slow_leaf_ids": ["taxonomy.Taxonomy.leaf_ids"],
-    "slow_all_shallower": ["losses._all_shallower_sweep", "losses._sweep",
-                           "losses.hier_transform", "losses.hier_transform_in_place"],
+    "slow_all_shallower": ["losses._all_shallower_sweep", "losses.hier_transform"],
     "slow_ancestors_only": ["losses._ancestors_sweep"],
     "slow_backward": ["losses.hier_transform_backward"],
     "slow_bce_loss": ["losses.bce_loss"],
@@ -71,7 +70,8 @@ REFERENCES = {
     "slow_zero_one_loss": ["losses.zero_one_errors"],
     "slow_select": ["curriculum.select_classes"],
     "slow_hcl_loss": ["curriculum.hcl_loss", "curriculum.curriculum_objective"],
-    "slow_hcl_grad": ["curriculum.hcl_grad"],
+    "slow_hcl_grad": ["curriculum.hcl_grad", "losses._hier_weights",
+                      "losses._all_shallower_weights", "losses._ancestors_weights"],
     "slow_optimizer_step": ["mlp._Optimizer.step"],
     "slow_sigmoid": ["mlp._sigmoid"],
     "slow_mlp_forward": ["mlp._hidden_block", "mlp._score_block", "mlp.forward"],
@@ -91,7 +91,7 @@ REFERENCES = {
 NO_FAST_PATH = {
     # argument, value and config checks, and their helpers
     "losses._check_pair", "losses.check_decision_threshold", "losses.check_gamma",
-    "losses._clamped_pair", "losses._check_surface", "losses._id_dtype",
+    "losses._clamped_pair", "losses._check_surface",
     "curriculum.check_selection_rule", "curriculum._base_fns", "mlp.TrainConfig.loss_spec",
     "taxonomy.Taxonomy.n_classes", "taxonomy.Taxonomy._name_to_id",
     "taxonomy.Taxonomy.id_of", "taxonomy.Taxonomy._check_id", "data.validate_dataset",
